@@ -1,6 +1,7 @@
 // Table II — experimental parameters. Instantiates the default configuration,
 // validates it, and prints both the paper's tabulated values and the derived
 // constants this reproduction adds (documented in DESIGN.md §3).
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"

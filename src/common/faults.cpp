@@ -39,7 +39,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kTxRevert: return "revert";
     case FaultKind::kTxGasExhaustion: return "gas_exhaustion";
     case FaultKind::kTxSubmitFailure: return "submit_failure";
-    case FaultKind::kSolverPerturbation: return "solver_perturbation";
     case FaultKind::kProcessCrash: return "crash";
     case FaultKind::kPhaseHang: return "hang";
     case FaultKind::kSignFlip: return "signflip";
@@ -53,8 +52,8 @@ const char* fault_kind_name(FaultKind kind) {
 bool FaultPlan::empty() const {
   return dropout_rate <= 0.0 && straggler_rate <= 0.0 && corrupt_rate <= 0.0 &&
          revert_rate <= 0.0 && gas_exhaustion_rate <= 0.0 && submit_failure_rate <= 0.0 &&
-         solver_perturb_rate <= 0.0 && collude_silos == 0 && signflip_silos == 0 &&
-         scale_silos == 0 && freeride_silos == 0 && events.empty();
+         collude_silos == 0 && signflip_silos == 0 && scale_silos == 0 && freeride_silos == 0 &&
+         events.empty();
 }
 
 bool FaultPlan::has_attacks() const {
@@ -96,7 +95,6 @@ std::string FaultPlan::spec_string(bool include_crashes) const {
   if (revert_rate > 0.0) emit("revert", number(revert_rate));
   if (gas_exhaustion_rate > 0.0) emit("gas", number(gas_exhaustion_rate));
   if (submit_failure_rate > 0.0) emit("submit", number(submit_failure_rate));
-  if (solver_perturb_rate > 0.0) emit("solver", number(solver_perturb_rate));
   if (collude_silos > 0) emit("collude", std::to_string(collude_silos));
   if (collude_shift != 4.0) emit("colludex", number(collude_shift));
   if (signflip_silos > 0) emit("signflip", std::to_string(signflip_silos));
@@ -123,7 +121,6 @@ std::string FaultPlan::summary() const {
   append_rate(out, "revert", revert_rate);
   append_rate(out, "gas", gas_exhaustion_rate);
   append_rate(out, "submit", submit_failure_rate);
-  append_rate(out, "solver", solver_perturb_rate);
   const auto append_count = [&out](const char* key, std::uint64_t count) {
     if (count > 0) out << (out.tellp() > 0 ? "," : "") << key << ":" << count;
   };
@@ -140,8 +137,8 @@ std::string FaultPlan::summary() const {
 const char kFaultGrammar[] =
     "faults=<key>:<value>[,<key>:<value>...] where <key>:<value> is one of "
     "seed:<u64> | drop:<rate> | straggle:<rate> | scale:<mult>=1> | corrupt:<rate> | "
-    "noise:<stddev> | revert:<rate> | gas:<rate> | submit:<rate> | solver:<rate> | "
-    "crash:<point> | hang:<point> | signflip:<silos> | amplify:<silos> | amplifyx:<factor> | "
+    "noise:<stddev> | revert:<rate> | gas:<rate> | submit:<rate> | crash:<point> | "
+    "hang:<point> | signflip:<silos> | amplify:<silos> | amplifyx:<factor> | "
     "freeride:<silos> | collude:<silos> | colludex:<stddev> (rates in [0, 1]; points and "
     "silo counts are non-negative integers)";
 
@@ -176,7 +173,7 @@ Result<FaultPlan> parse_fault_plan(const std::string& spec) {
       return fault_error("cannot parse value '" + value + "' for key '" + key + "'", pair);
     }
     const bool is_rate = key == "drop" || key == "straggle" || key == "corrupt" ||
-                         key == "revert" || key == "gas" || key == "submit" || key == "solver";
+                         key == "revert" || key == "gas" || key == "submit";
     if (is_rate && (parsed < 0.0 || parsed > 1.0)) {
       return fault_error("rate '" + key + "' must be in [0, 1], got " + value, pair);
     }
@@ -206,8 +203,6 @@ Result<FaultPlan> parse_fault_plan(const std::string& spec) {
       plan.gas_exhaustion_rate = parsed;
     } else if (key == "submit") {
       plan.submit_failure_rate = parsed;
-    } else if (key == "solver") {
-      plan.solver_perturb_rate = parsed;
     } else if (key == "signflip") {
       plan.signflip_silos = static_cast<std::uint64_t>(parsed);
     } else if (key == "amplify") {
@@ -339,10 +334,6 @@ bool FaultInjector::exhaust_gas(std::uint64_t call_index) const {
 
 bool FaultInjector::revert_call(std::uint64_t call_index) const {
   return decide(FaultKind::kTxRevert, call_index, 0, plan_.revert_rate);
-}
-
-bool FaultInjector::perturb_solver(std::uint64_t iteration) const {
-  return decide(FaultKind::kSolverPerturbation, iteration, 0, plan_.solver_perturb_rate);
 }
 
 bool FaultInjector::crash_now(std::uint64_t point) const {

@@ -1,7 +1,7 @@
 // Seeded, fully deterministic fault injection. A FaultPlan describes which
 // failures a run should experience — client dropout, straggler delay scaling,
-// gradient/update corruption, chain transaction failures, solver perturbation
-// — either as probabilistic rates or as explicit per-round events. The
+// gradient/update corruption, chain transaction failures, process crashes —
+// either as probabilistic rates or as explicit per-round events. The
 // FaultInjector answers every "does fault X hit (round, target)?" query
 // statelessly through Rng::derive_stream_seed, so a schedule replays
 // bit-identically regardless of thread count, query order, or how many other
@@ -31,7 +31,7 @@ enum class FaultKind : std::uint64_t {
   kTxRevert = 4,           // contract call reverts (not retryable)
   kTxGasExhaustion = 5,    // call runs out of gas (transient, retryable)
   kTxSubmitFailure = 6,    // tx never reaches the chain (transient, retryable)
-  kSolverPerturbation = 7, // CGBD primal subproblem diverges numerically
+  // 7 is retired (CGBD primal perturbation); kinds seed streams: never renumber.
   kProcessCrash = 8,       // whole process dies abruptly (std::_Exit, no cleanup)
   kPhaseHang = 9,          // pipeline point blocks until cancelled (watchdog tests)
 
@@ -51,9 +51,9 @@ const char* fault_kind_name(FaultKind kind);
 inline constexpr std::uint64_t kAnyFaultTarget = ~0ULL;
 
 /// One scheduled fault. `round` is the FL round for client faults, the call
-/// index for chain faults, and the iteration for solver faults. `magnitude`
-/// overrides the plan-wide default (straggler scale / noise stddev); 0 keeps
-/// the default.
+/// index for chain faults, and the pipeline point for crash/hang faults.
+/// `magnitude` overrides the plan-wide default (straggler scale / noise
+/// stddev); 0 keeps the default.
 struct FaultEvent {
   FaultKind kind = FaultKind::kClientDropout;
   std::uint64_t round = 0;
@@ -76,7 +76,6 @@ struct FaultPlan {
   double revert_rate = 0.0;
   double gas_exhaustion_rate = 0.0;
   double submit_failure_rate = 0.0;
-  double solver_perturb_rate = 0.0;
 
   // Adversary blocks. Counts assign the lowest-indexed silos to each attack —
   // colluders first (they need shared identities), then sign-flippers,
@@ -117,8 +116,8 @@ struct FaultPlan {
 extern const char kFaultGrammar[];
 
 /// Parses the CLI `faults=` spec: comma-separated `key:value` pairs with keys
-///   seed, drop, straggle, scale, corrupt, noise, revert, gas, submit, solver,
-///   crash, hang, signflip, amplify, amplifyx, freeride, collude, colludex
+///   seed, drop, straggle, scale, corrupt, noise, revert, gas, submit, crash,
+///   hang, signflip, amplify, amplifyx, freeride, collude, colludex
 /// e.g. "drop:0.2,straggle:0.1,scale:4,revert:0.05,seed:7". `crash:N`
 /// schedules a process crash at pipeline point N (an FL round, CGBD
 /// iteration, or session phase — whichever crash-eligible point the run
@@ -259,10 +258,6 @@ class FaultInjector {
   [[nodiscard]] bool fail_submission(std::uint64_t call_index) const;
   [[nodiscard]] bool exhaust_gas(std::uint64_t call_index) const;
   [[nodiscard]] bool revert_call(std::uint64_t call_index) const;
-
-  // ----- solver faults (keyed by the CGBD iteration) -----
-
-  [[nodiscard]] bool perturb_solver(std::uint64_t iteration) const;
 
   // ----- crash faults (keyed by a pipeline-specific checkpoint point) -----
 

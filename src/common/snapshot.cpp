@@ -236,7 +236,8 @@ Result<std::size_t> write_snapshot_file(const std::string& path, const std::stri
 
 Result<std::vector<std::uint8_t>> read_snapshot_file(const std::string& path,
                                                      const std::string& kind,
-                                                     std::uint32_t max_version) {
+                                                     std::uint32_t max_version,
+                                                     std::uint32_t min_version) {
   std::vector<std::uint8_t> raw;
   {
     std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -282,6 +283,11 @@ Result<std::vector<std::uint8_t>> read_snapshot_file(const std::string& path,
       return Error{"snapshot.version", path + ": schema version " + std::to_string(version) +
                                            " is newer than supported " +
                                            std::to_string(max_version)};
+    }
+    if (version < min_version) {
+      return Error{"snapshot.version", path + ": schema version " + std::to_string(version) +
+                                           " is older than supported " +
+                                           std::to_string(min_version)};
     }
     const std::string file_kind = reader.get_string();
     if (file_kind != kind) {

@@ -13,7 +13,7 @@
 //     crash mid-write leaves either the old snapshot or the new one — never a
 //     torn file.
 //   * read_snapshot_file is strict: wrong magic, kind mismatch, a version
-//     newer than the reader supports, truncation, or a CRC mismatch each
+//     outside what the reader supports, truncation, or a CRC mismatch each
 //     yield a typed Error (codes snapshot.magic / snapshot.kind /
 //     snapshot.version / snapshot.truncated / snapshot.crc) and never partial
 //     state.
@@ -118,10 +118,12 @@ Result<std::size_t> write_snapshot_file(const std::string& path, const std::stri
 
 /// Reads and fully validates a snapshot, returning the payload bytes.
 /// `kind` must match what was written; `max_version` is the newest schema the
-/// caller understands (older versions are the caller's job to migrate).
+/// caller understands (older versions are the caller's job to migrate) and
+/// `min_version` the oldest it accepts at all.
 Result<std::vector<std::uint8_t>> read_snapshot_file(const std::string& path,
                                                      const std::string& kind,
-                                                     std::uint32_t max_version);
+                                                     std::uint32_t max_version,
+                                                     std::uint32_t min_version = 0);
 
 /// True when a regular file exists at `path` (resume=1 with no snapshot yet
 /// is a cold start, not an error).

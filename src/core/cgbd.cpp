@@ -3,32 +3,14 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "core/dbr.h"
-#include "game/potential.h"
 #include "math/grid.h"
 #include "obs/obs.h"
 
 namespace tradefl::core {
 
 Solution run_cgbd(const game::CoopetitionGame& game, const CgbdOptions& options) {
-  GbdSolver solver(game, options);
-  try {
-    return solver.solve();
-  } catch (const SolverFailure& failure) {
-    // Stage-2 recovery: the barrier diverged twice, so abandon the interior-
-    // point machinery entirely and fall back to best-response dynamics (DBR,
-    // Algorithm 2), which converges by the finite-improvement property and
-    // needs no second-order solves. The answer is an NE rather than the
-    // (δ+ε)-optimal one — run_dbr's trace/diagnostics plus the marker below
-    // let callers report the degradation honestly.
-    TFL_COUNTER_INC("solver.fallbacks");
-    TFL_WARN << "cgbd: falling back to DBR: " << failure.what();
-    Solution fallback = run_dbr(game);
-    fallback.diagnostics.emplace_back("fallback_dbr", 1.0);
-    return fallback;
-  }
+  return GbdSolver(game, options).solve();
 }
 
 Solution solve_by_enumeration(const game::CoopetitionGame& game, const GbdOptions& options) {

@@ -1,7 +1,7 @@
 // CGBD — Algorithm 1: the centralized GBD-based algorithm that finds the
-// global solution of the potential-function problem (18); its solution is a
-// (δ+ε)-optimal NE of the coopetition game (Lemma 3). Thin facade over
-// GbdSolver with the paper's defaults.
+// global solution of the potential-function problem (18); its solution is an
+// ε-optimal NE of the coopetition game (Lemma 3 with δ = 0, since the primal
+// is solved exactly). Thin facade over GbdSolver with the paper's defaults.
 #pragma once
 
 #include "core/gbd.h"

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/snapshot.h"
 #include "common/stopwatch.h"
@@ -15,7 +15,7 @@
 #include "core/solution_codec.h"
 #include "game/potential.h"
 #include "math/grid.h"
-#include "math/matrix.h"
+#include "math/scalar_opt.h"
 #include "obs/obs.h"
 
 namespace tradefl::core {
@@ -23,11 +23,10 @@ namespace tradefl::core {
 using game::CoopetitionGame;
 using game::OrgId;
 using game::StrategyProfile;
-using math::Vec;
 
 namespace {
 
-StrategyProfile to_profile(const Vec& d, const std::vector<std::size_t>& freq) {
+StrategyProfile to_profile(const std::vector<double>& d, const std::vector<std::size_t>& freq) {
   StrategyProfile profile(d.size());
   for (std::size_t i = 0; i < d.size(); ++i) {
     profile[i].data_fraction = d[i];
@@ -50,40 +49,15 @@ double GbdSolver::deadline_slack(OrgId i, double d, double f) const {
          org.upload_time - game_.params().tau;
 }
 
+double GbdSolver::linear_coefficient(OrgId i, double f) const {
+  const auto& params = game_.params();
+  const auto& org = game_.org(i);
+  const double z = game_.weight_z(i);
+  return params.gamma * game_.rho().row_sum(i) * org.data_size_bits / z -
+         params.omega_e * params.kappa * f * f * org.cycles_per_bit * org.data_size_bits / z;
+}
+
 PrimalSolve GbdSolver::solve_primal(const std::vector<std::size_t>& freq_indices) const {
-  return solve_primal_impl(freq_indices, options_.barrier, /*poison=*/false);
-}
-
-PrimalSolve GbdSolver::solve_primal_recovering(const std::vector<std::size_t>& freq_indices,
-                                               int iteration) const {
-  const bool perturbed = options_.faults != nullptr && options_.faults->enabled() &&
-                         options_.faults->perturb_solver(static_cast<std::uint64_t>(iteration));
-  if (perturbed) TFL_COUNTER_INC("fault.injected.solver");
-  try {
-    return solve_primal_impl(freq_indices, options_.barrier, perturbed);
-  } catch (const ContractViolation& diverged) {
-    // Structured recovery, stage 1: restart the barrier from scratch with a
-    // damped t-schedule (more, gentler centering stages) and no fault. The
-    // damped schedule trades iterations for numerical headroom.
-    TFL_COUNTER_INC("solver.recoveries");
-    TFL_WARN << "gbd: primal barrier diverged at iteration " << iteration
-             << ", restarting damped: " << diverged.what();
-    math::BarrierOptions damped = options_.barrier;
-    damped.t_growth = std::min(damped.t_growth, options_.recovery_t_growth);
-    try {
-      return solve_primal_impl(freq_indices, damped, /*poison=*/false);
-    } catch (const ContractViolation& second) {
-      // Stage 2 is the caller's: run_cgbd() catches SolverFailure and falls
-      // back to DBR, which needs no barrier at all.
-      throw SolverFailure(std::string("gbd: damped barrier restart diverged at iteration ") +
-                          std::to_string(iteration) + ": " + second.what());
-    }
-  }
-}
-
-PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_indices,
-                                         const math::BarrierOptions& barrier_options,
-                                         bool poison) const {
   TFL_SPAN("cgbd.primal_solve");
   TFL_SCOPED_TIMER("cgbd.subproblem.seconds");
   const std::size_t n = game_.size();
@@ -111,55 +85,68 @@ PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_in
     return result;
   }
 
-  // Barrier objective: the exact potential U(d, f) at the fixed frequencies.
-  math::SmoothObjective objective;
-  StrategyProfile scratch = to_profile(Vec(n, d_min), freq_indices);
-  objective.value = [this, &scratch, &freq_indices, poison](const Vec& d) {
-    if (poison) return std::numeric_limits<double>::quiet_NaN();
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    return game::potential(game_, scratch);
-  };
-  objective.gradient = [this, &scratch](const Vec& d) {
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    Vec grad(d.size());
-    for (OrgId i = 0; i < d.size(); ++i) {
-      grad[i] = game::potential_gradient_d(game_, scratch, i);
-    }
-    return grad;
-  };
-  objective.hessian = [this, &scratch](const Vec& d) {
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    // Rank-one: P''(Ω) w w^T.
-    Vec weights(d.size());
-    for (OrgId i = 0; i < d.size(); ++i) weights[i] = game_.contribution_weight(i);
-    const double curvature =
-        game_.accuracy().performance_second_derivative(game_.omega(scratch));
-    return math::Matrix::outer(weights, curvature);
-  };
-
-  math::BoxBounds box{Vec(n, d_min), Vec(n, 1.0)};
-  // Degenerate boxes (D_min == 1) cannot happen: params validation enforces
-  // d_min <= 1 and the barrier needs strict width; widen infinitesimally.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (box.upper[i] - box.lower[i] < 1e-9) box.upper[i] = box.lower[i] + 1e-9;
-  }
-  math::LinearInequalities inequalities;
-  inequalities.a = math::Matrix(n, n);
-  inequalities.b.assign(n, 0.0);
+  // At fixed f the primal is max P(Ω) + Σ_i c_i d_i over d_i ∈ [D_min, ub_i]
+  // with Ω = Σ_i w_i d_i. With λ = P'(Ω*), KKT puts d_i at ub_i when
+  // λ w_i + c_i > 0 and at D_min when it is < 0, i.e. org i sits at D_min
+  // exactly when its breakpoint β_i = -c_i / w_i is above λ. Start with every
+  // d_i at ub_i (the smallest P') and lower orgs in order of descending β_i:
+  // each lowering raises P', so the scan stops at the first org whose β_i is
+  // reached, and at most that org ends strictly inside its interval.
+  const game::AccuracyModel& accuracy = game_.accuracy();
+  StrategyProfile profile(n);
+  std::vector<double> weight(n), coefficient(n), upper(n), breakpoint(n);
   for (OrgId i = 0; i < n; ++i) {
-    const auto& org = game_.org(i);
-    const double f = org.freq_levels.at(freq_indices[i]);
-    inequalities.a.at(i, i) = org.cycles_per_bit * org.data_size_bits / f;
-    inequalities.b[i] = game_.params().tau - org.download_time - org.upload_time;
+    weight[i] = game_.contribution_weight(i);
+    coefficient[i] = linear_coefficient(i, game_.org(i).freq_levels[freq_indices[i]]);
+    upper[i] = std::max(d_min, game_.data_upper_bound(i, freq_indices[i]));
+    breakpoint[i] = -coefficient[i] / weight[i];
+    profile[i] = {upper[i], freq_indices[i]};
+  }
+  std::vector<OrgId> order(n);
+  std::iota(order.begin(), order.end(), OrgId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](OrgId a, OrgId b) { return breakpoint[a] > breakpoint[b]; });
+  std::size_t lowered = 0;  // order[0, lowered) have left their upper end
+  for (; lowered < n; ++lowered) {
+    const OrgId i = order[lowered];
+    const double rest = game_.omega(profile) - weight[i] * upper[i];
+    const auto excess = [&](double d) {
+      return accuracy.performance_derivative(rest + weight[i] * d) - breakpoint[i];
+    };
+    if (excess(upper[i]) >= 0.0) break;  // λ >= β_i >= every later breakpoint
+    if (excess(d_min) <= 0.0) {
+      profile[i].data_fraction = d_min;
+      continue;
+    }
+    profile[i].data_fraction = math::bisect_root(excess, d_min, upper[i]);
+    ++lowered;
+    break;
   }
 
-  Vec start(n, d_min);
-  const auto barrier = math::maximize_with_barrier(objective, box, inequalities, start,
-                                                   barrier_options);
+  // u_i = (λ w_i + c_i) / a_i with a_i = η_i s_i / f_i for an org held at its
+  // upper end by the deadline; the cap at 1 and D_min carry no u.
+  const double lambda = accuracy.performance_derivative(game_.omega(profile));
+  result.multipliers.assign(n, 0.0);
+  for (std::size_t k = lowered; k < n; ++k) {
+    const OrgId i = order[k];
+    const auto& org = game_.org(i);
+    const double f = org.freq_levels[freq_indices[i]];
+    const double marginal = lambda * weight[i] + coefficient[i];
+    if (org.max_data_fraction_for_deadline(f, game_.params().tau) < 1.0 && marginal > 0.0) {
+      result.multipliers[i] = marginal / (org.cycles_per_bit * org.data_size_bits / f);
+    }
+  }
+
   result.feasible = true;
-  result.d = barrier.x;
-  result.multipliers = barrier.multipliers;
-  result.value = barrier.value;
+  result.d.resize(n);
+  for (OrgId i = 0; i < n; ++i) result.d[i] = profile[i].data_fraction;
+  result.value = game::potential(game_, profile);
+  // Always-on exit contract: a non-finite model input (e.g. an overflowing
+  // γ) must stop the solve here instead of flowing into cuts and payoffs.
+  const bool finite = std::isfinite(result.value) &&
+                      std::all_of(result.d.begin(), result.d.end(),
+                                  [](double d) { return std::isfinite(d); });
+  TFL_CHECK(finite, "gbd primal produced a non-finite point (value ", result.value, ")");
   return result;
 }
 
@@ -186,16 +173,13 @@ GbdSolver::OptimalityCut GbdSolver::make_optimality_cut(const PrimalSolve& prima
     const auto& org = game_.org(i);
     const double z = game_.weight_z(i);
     const double w_i = game_.contribution_weight(i);
-    const double u = primal.multipliers.empty() ? 0.0 : primal.multipliers[i];
+    const double u = primal.multipliers[i];
     cut.per_level[i].reserve(org.freq_levels.size());
     for (std::size_t level = 0; level < org.freq_levels.size(); ++level) {
       const double f = org.freq_levels[level];
       // Coefficient of d_i inside L at this frequency.
-      double slope = p_slope * w_i;
-      slope -= params.omega_e * params.kappa * f * f * org.cycles_per_bit *
-               org.data_size_bits / z;
-      slope += params.gamma * game_.rho().row_sum(i) * org.data_size_bits / z;
-      slope -= u * org.cycles_per_bit * org.data_size_bits / f;
+      const double slope = p_slope * w_i + linear_coefficient(i, f) -
+                           u * org.cycles_per_bit * org.data_size_bits / f;
       // d_i-independent contribution at this frequency.
       double constant = params.gamma * game_.rho().row_sum(i) * params.lambda * f / z;
       constant -= u * (org.download_time + org.upload_time - params.tau);
@@ -336,7 +320,9 @@ Solution GbdSolver::solve() {
   int first_iteration = 1;
 
   // ----- checkpoint codec (kept local: the cut types are private) -----
-  constexpr std::uint32_t kGbdSnapshotVersion = 1;
+  // Version 2: cuts from the exact primal. A version-1 file holds cuts of the
+  // former approximate primal and must not seed this solve.
+  constexpr std::uint32_t kGbdSnapshotVersion = 2;
   constexpr const char* kGbdSnapshotKind = "core.gbd";
   // Fingerprint the economic parameters, not just the problem shape: two
   // games with identical org/level counts but different draws must not be
@@ -397,8 +383,8 @@ Solution GbdSolver::solve() {
 
   if (options_.resume && !options_.checkpoint_path.empty() &&
       snapshot_exists(options_.checkpoint_path)) {
-    auto payload =
-        read_snapshot_file(options_.checkpoint_path, kGbdSnapshotKind, kGbdSnapshotVersion);
+    auto payload = read_snapshot_file(options_.checkpoint_path, kGbdSnapshotKind,
+                                      kGbdSnapshotVersion, kGbdSnapshotVersion);
     if (!payload.ok()) {
       throw std::runtime_error("gbd resume failed closed [" + payload.error().code +
                                "]: " + payload.error().message);
@@ -452,7 +438,7 @@ Solution GbdSolver::solve() {
     check_cancelled(options_.cancel);
     crash_if_scheduled(options_.faults, static_cast<std::uint64_t>(k));
     visited.insert(freq);
-    const PrimalSolve primal = solve_primal_recovering(freq, k);
+    const PrimalSolve primal = solve_primal(freq);
     if (primal.feasible) {
       optimality_cuts.push_back(make_optimality_cut(primal));
       if (primal.value > lower_bound) {

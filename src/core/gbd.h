@@ -2,8 +2,10 @@
 //   max_{d, f}  U(d, f)   s.t.  d_i ∈ [D_min, 1],  f_i ∈ grid,  C^(3)
 // by alternating:
 //   * primal (19): fix f, maximize the concave U over d with the deadline
-//     constraints — solved by the log-barrier interior-point method with
-//     Lagrange multiplier recovery (math/barrier_solver);
+//     constraints. At fixed f, U = P(Σ w_i d_i) + Σ c_i d_i + const over one
+//     interval per organization, so the optimum and the deadline multipliers
+//     follow from the KKT conditions in closed form (a breakpoint scan plus
+//     at most one 1-D root solve; see solve_primal);
 //   * feasibility check (21) when the primal is infeasible — for our
 //     monotone deadline constraints it has the closed form
 //     ζ* = max_i [g_i(D_min, f_i)]+ with λ an indicator of the argmax row;
@@ -14,17 +16,16 @@
 // Optimality cuts use the Lagrangian of Eq. (20):
 //   cut_k(f) = U(d^(k), f) - Σ_i u_i^(k) g_i(d^(k), f),
 // which is separable per organization at fixed d^(k), so each cut is
-// pre-tabulated per (organization, frequency level).
+// pre-tabulated per (organization, frequency level). An exact primal makes
+// each cut tight at its own tuple, so the primal's δ of Lemma 3 is zero.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "common/faults.h"
 #include "core/solution.h"
 #include "game/game.h"
-#include "math/barrier_solver.h"
 
 namespace tradefl::core {
 
@@ -35,18 +36,9 @@ struct GbdOptions {
   /// K — iteration cap of Algorithm 1.
   int max_iterations = 64;
 
-  /// Barrier (interior-point) options for the primal; the final duality gap
-  /// is the δ of Lemma 3.
-  math::BarrierOptions barrier{};
-
   /// Fault injection (nullptr = fault-free; must outlive the solve). A
-  /// perturbed iteration poisons the primal objective so the barrier's
-  /// finiteness contract trips, exercising the recovery path below.
+  /// `crash:N` event kills the process at the start of Benders iteration N.
   const FaultInjector* faults = nullptr;
-
-  /// Barrier-t growth used for the damped restart after a diverged primal;
-  /// smaller growth takes more, gentler centering stages.
-  double recovery_t_growth = 4.0;
 
   /// Crash-consistent checkpointing (empty = none): every `checkpoint_every`
   /// iterations the accumulated Benders state — optimality/feasibility cuts,
@@ -65,20 +57,11 @@ struct GbdOptions {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Thrown when the primal barrier diverges AND the damped restart also fails
-/// — the structured signal run_cgbd() uses to fall back to DBR. Genuine
-/// infeasibility ("no frequency assignment satisfies the deadline") stays a
-/// plain std::runtime_error and propagates: no solver can fix a bad instance.
-class SolverFailure : public std::runtime_error {
- public:
-  explicit SolverFailure(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// Result of one primal solve (used by tests and the scaling ablation).
 struct PrimalSolve {
   bool feasible = false;
   std::vector<double> d;
-  std::vector<double> multipliers;  // u^(k), one per organization
+  std::vector<double> multipliers;  // u^(k) of the deadline rows, one per org
   double value = 0.0;               // U(d^(k), f^(k-1)) when feasible
   double zeta = 0.0;                // ζ* of (21) when infeasible
   std::size_t violating_org = 0;    // argmax row of (21) when infeasible
@@ -93,27 +76,19 @@ class GbdSolver {
   /// "master_tuples" (the m^|N| traversal size, Lemma 4).
   [[nodiscard]] Solution solve();
 
-  /// Solves the primal problem (19) at fixed frequency levels. Public for
-  /// tests.
+  /// Solves the primal problem (19) at fixed frequency levels exactly: d
+  /// satisfies the KKT conditions with λ = P'(Ω(d)), and `multipliers` holds
+  /// the deadline multipliers u_i (> 0 only where the deadline binds). Public
+  /// for tests.
   [[nodiscard]] PrimalSolve solve_primal(const std::vector<std::size_t>& freq_indices) const;
-
-  /// solve_primal with the fault/recovery wrapper applied: an injected
-  /// perturbation (keyed on `iteration`) poisons the first barrier attempt;
-  /// on divergence the barrier restarts damped (recovery_t_growth) without
-  /// the fault, and a second divergence raises SolverFailure. Public for
-  /// tests.
-  [[nodiscard]] PrimalSolve solve_primal_recovering(
-      const std::vector<std::size_t>& freq_indices, int iteration) const;
 
   /// g_i(d, f) = T^(1) + η_i s_i d / f + T^(3) - τ (the C^(3) slack).
   [[nodiscard]] double deadline_slack(game::OrgId i, double d, double f) const;
 
  private:
-  /// Shared body of the two public primal entry points: `barrier` selects the
-  /// interior-point schedule and `poison` injects a non-finite objective.
-  [[nodiscard]] PrimalSolve solve_primal_impl(const std::vector<std::size_t>& freq_indices,
-                                              const math::BarrierOptions& barrier,
-                                              bool poison) const;
+  /// c_i(f) = ∂U/∂d_i - P'(Ω) w_i: the energy and redistribution terms of the
+  /// potential, linear in d_i at frequency f.
+  [[nodiscard]] double linear_coefficient(game::OrgId i, double f) const;
 
   struct OptimalityCut {
     double base = 0.0;                            // P(Ω(d_v))

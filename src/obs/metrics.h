@@ -5,7 +5,7 @@
 // telemetry (convergence dynamics, contract gas/latency, per-phase training
 // time); the instrumentation macros live in obs/obs.h.
 //
-// Naming scheme: `subsystem.verb.unit` (e.g. solver.newton.iterations,
+// Naming scheme: `subsystem.verb.unit` (e.g. cgbd.master.seconds,
 // chain.call.seconds, fl.accuracy.trajectory). See docs/OBSERVABILITY.md.
 //
 // Metric objects have stable addresses for the lifetime of the process:

@@ -301,7 +301,7 @@ std::string usage() {
          "               block every N txs; 1 = dev-chain block per call, 0 = manual)\n"
          "robustness:    faults=seed:1,drop:0.2,submit:0.1 (solve+session; seeded\n"
          "               deterministic fault injection. keys: seed drop straggle scale\n"
-         "               corrupt noise revert gas submit solver; Byzantine silo\n"
+         "               corrupt noise revert gas submit; Byzantine silo\n"
          "               attacks: signflip:N amplify:N amplifyx:F freeride:N\n"
          "               collude:N colludex:S (N lowest-indexed silos deviate);\n"
          "               rates in [0,1];\n"

@@ -320,14 +320,8 @@ SessionResult TradingSession::run(const SessionOptions& options) {
           options.resume && snapshot_exists(scheme_options.cgbd.checkpoint_path);
     }
     // A solve failure is not containable — without {d*, f*} there is nothing
-    // to trade — but CGBD recovers internally (damped restart, then DBR
-    // fallback); surface the fallback as a degradation rather than hiding it.
+    // to trade — so it propagates to the caller instead of degrading.
     result.mechanism = core::run_scheme(game, options.scheme, scheme_options);
-    for (const auto& [key, value] : result.mechanism.solution.diagnostics) {
-      if (key == "fallback_dbr" && value > 0.0) {
-        degraded("solve", "CGBD barrier diverged twice; solution computed by DBR fallback");
-      }
-    }
     result.properties = core::verify_properties(game, result.mechanism,
                                                 options.scheme != core::Scheme::kTos);
     save_phase(1);

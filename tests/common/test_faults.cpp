@@ -21,7 +21,7 @@ TEST(FaultPlan, DefaultIsEmpty) {
 TEST(FaultPlan, ParsesSpec) {
   const auto plan =
       parse_fault_plan("drop:0.2,straggle:0.1,scale:4,corrupt:0.05,noise:0.5,"
-                       "revert:0.01,gas:0.02,submit:0.03,solver:0.04,seed:7");
+                       "revert:0.01,gas:0.02,submit:0.03,seed:7");
   ASSERT_TRUE(plan.ok());
   EXPECT_DOUBLE_EQ(plan.value().dropout_rate, 0.2);
   EXPECT_DOUBLE_EQ(plan.value().straggler_rate, 0.1);
@@ -31,7 +31,6 @@ TEST(FaultPlan, ParsesSpec) {
   EXPECT_DOUBLE_EQ(plan.value().revert_rate, 0.01);
   EXPECT_DOUBLE_EQ(plan.value().gas_exhaustion_rate, 0.02);
   EXPECT_DOUBLE_EQ(plan.value().submit_failure_rate, 0.03);
-  EXPECT_DOUBLE_EQ(plan.value().solver_perturb_rate, 0.04);
   EXPECT_EQ(plan.value().seed, 7u);
   EXPECT_FALSE(plan.value().empty());
 }
@@ -66,14 +65,14 @@ TEST(FaultInjector, QueriesArePureFunctions) {
   plan.seed = 5;
   plan.dropout_rate = 0.3;
   plan.revert_rate = 0.2;
-  plan.solver_perturb_rate = 0.1;
+  plan.gas_exhaustion_rate = 0.1;
   const FaultInjector injector(plan);
   // Repeating a query — and interleaving it with others — never changes it.
   for (std::uint64_t round = 1; round <= 20; ++round) {
     for (std::uint64_t client = 0; client < 8; ++client) {
       const bool first = injector.drop_client(round, client);
       (void)injector.revert_call(round * 8 + client);
-      (void)injector.perturb_solver(round);
+      (void)injector.exhaust_gas(round);
       EXPECT_EQ(injector.drop_client(round, client), first);
     }
   }
@@ -196,7 +195,6 @@ TEST(FaultInjector, CorruptionRngIsStatelessPerCell) {
 TEST(FaultKindName, StableNames) {
   EXPECT_STREQ(fault_kind_name(FaultKind::kClientDropout), "dropout");
   EXPECT_STREQ(fault_kind_name(FaultKind::kTxRevert), "revert");
-  EXPECT_STREQ(fault_kind_name(FaultKind::kSolverPerturbation), "solver_perturbation");
   EXPECT_STREQ(fault_kind_name(FaultKind::kSignFlip), "signflip");
   EXPECT_STREQ(fault_kind_name(FaultKind::kScaleAttack), "scale_attack");
   EXPECT_STREQ(fault_kind_name(FaultKind::kFreeRide), "freeride");
@@ -220,6 +218,7 @@ TEST(FaultPlan, ParseErrorsEchoTokenAndGrammar) {
       {"collude:-1", "collude:-1"},          // negative count
       {"amplifyx:0", "amplifyx:0"},          // factor must be positive
       {"colludex:abc", "colludex:abc"},      // not a number
+      {"solver:0.1", "solver:0.1"},          // retired key
   };
   for (const Case& test : cases) {
     const auto parsed = parse_fault_plan(test.spec);

@@ -86,6 +86,33 @@ TEST(CgbdCheckpoint, SnapshotFromAnotherGameFailsClosed) {
   }
 }
 
+TEST(CgbdCheckpoint, VersionOneSnapshotFailsClosed) {
+  // A version-1 file holds cuts of the former approximate primal. Same
+  // payload, older version: resuming from it must fail, not mix cuts.
+  const auto game = small_game(42);
+  const std::string path = temp_path("cgbd_v1.snap");
+  CgbdOptions first;
+  first.max_iterations = 2;
+  first.checkpoint_path = path;
+  (void)run_cgbd(game, first);
+  const auto payload = read_snapshot_file(path, "core.gbd", 2);
+  ASSERT_TRUE(payload.ok()) << payload.error().to_string();
+  SnapshotWriter writer;
+  for (std::uint8_t byte : payload.value()) writer.put_u8(byte);
+  ASSERT_TRUE(write_snapshot_file(path, "core.gbd", 1, writer).ok());
+
+  CgbdOptions second;
+  second.checkpoint_path = path;
+  second.resume = true;
+  try {
+    (void)run_cgbd(game, second);
+    FAIL() << "version-1 snapshot must not resume";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("snapshot.version"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(CgbdCheckpoint, MissingSnapshotWithResumeIsColdStart) {
   const auto game = small_game(42);
   CgbdOptions options;

@@ -1,11 +1,16 @@
-// Algorithm 1 (CGBD) and the GBD machinery: primal convexity (Lemma 1),
-// feasibility-check closed form (problem 21), cut validity, finite
-// convergence (Lemma 2), and (δ+ε)-optimality (Lemma 3) against exhaustive
-// enumeration on small instances.
+// Algorithm 1 (CGBD) and the GBD machinery: the exact primal (19) and its
+// KKT certificate, feasibility-check closed form (problem 21), cut validity,
+// finite convergence (Lemma 2), and ε-optimality (Lemma 3 with δ = 0)
+// against exhaustive enumeration on small instances.
 #include "core/gbd.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+
+#include "common/rng.h"
 #include "core/cgbd.h"
 #include "game/game_factory.h"
 #include "game/potential.h"
@@ -64,6 +69,139 @@ TEST(Gbd, PrimalBeatsGridSearchOverD) {
   }
 }
 
+/// Which KKT case each organization's d_i fell into, summed over solves.
+struct KktCases {
+  std::size_t lower = 0;     // d_i = D_min
+  std::size_t interior = 0;  // D_min < d_i < ub_i
+  std::size_t deadline = 0;  // d_i = ub_i < 1, held by the deadline row
+  std::size_t cap = 0;       // d_i = ub_i = 1
+};
+
+/// Checks one primal solve against the KKT conditions of (19), built only
+/// from ∂U/∂d (game/potential.h), the deadline rows and the returned
+/// multipliers u. (19) is concave with linear constraints, so passing
+/// certifies a global optimum at fixed f. The coupling multiplier is
+/// λ = P'(Ω(d)), the one ∂U/∂d_i = λ w_i + c_i embeds.
+void expect_kkt_certificate(const game::CoopetitionGame& game,
+                            const std::vector<std::size_t>& freq, const PrimalSolve& primal,
+                            KktCases& cases) {
+  ASSERT_TRUE(primal.feasible);
+  const std::size_t n = game.size();
+  ASSERT_EQ(primal.d.size(), n);
+  ASSERT_EQ(primal.multipliers.size(), n);
+  const double d_min = game.params().d_min;
+  game::StrategyProfile profile(n);
+  for (OrgId i = 0; i < n; ++i) profile[i] = {primal.d[i], freq[i]};
+  EXPECT_NEAR(primal.value, game::potential(game, profile),
+              1e-12 * std::max(1.0, std::abs(primal.value)));
+  const double lambda = game.accuracy().performance_derivative(game.omega(profile));
+  std::size_t interior = 0;
+  for (OrgId i = 0; i < n; ++i) {
+    const auto& org = game.org(i);
+    const double f = org.freq_levels[freq[i]];
+    const double deadline_bound = org.max_data_fraction_for_deadline(f, game.params().tau);
+    const double upper = std::max(d_min, std::min(1.0, deadline_bound));
+    const double d = primal.d[i];
+    const double u = primal.multipliers[i];
+    const double gradient = game::potential_gradient_d(game, profile, i);
+    const double coupling = lambda * game.contribution_weight(i);
+    const double tol = 1e-9 * (std::abs(coupling) + std::abs(gradient - coupling));
+    // What the box bounds must absorb once the deadline row is priced in.
+    const double residual = gradient - u * org.cycles_per_bit * org.data_size_bits / f;
+    const bool at_lower = d <= d_min + 1e-12;
+    const bool at_upper = d >= upper - 1e-12;
+    EXPECT_GE(d, d_min) << "org " << i;
+    EXPECT_LE(d, upper) << "org " << i;
+    EXPECT_GE(u, 0.0) << "org " << i;
+    if (u > 0.0) {
+      EXPECT_TRUE(at_upper && deadline_bound < 1.0) << "org " << i << " prices a slack deadline";
+    }
+    if (at_upper && deadline_bound < 1.0) {
+      EXPECT_NEAR(residual, 0.0, tol) << "org " << i << " at its deadline";
+      ++cases.deadline;
+    } else if (at_upper) {
+      EXPECT_GE(residual, -tol) << "org " << i << " at the cap";
+      ++cases.cap;
+    } else if (at_lower) {
+      EXPECT_LE(residual, tol) << "org " << i << " at D_min";
+      ++cases.lower;
+    } else {
+      EXPECT_NEAR(residual, 0.0, tol) << "org " << i << " interior";
+      ++interior;
+      ++cases.interior;
+    }
+  }
+  // The breakpoint scan leaves at most one organization strictly inside.
+  EXPECT_LE(interior, 1u);
+}
+
+TEST(Gbd, PrimalSatisfiesKktCertificate) {
+  KktCases cases;
+  std::size_t solves = 0;
+  // Under the Table-II deadline τ = 45 s an org at its upper end is held by
+  // the deadline; a slack τ lets the cap at 1 bind instead.
+  for (double tau : {45.0, 120.0}) {
+    for (std::size_t n : {6, 10, 16}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        ExperimentSpec spec;
+        spec.org_count = n;
+        spec.params.tau = tau;
+        const auto game = make_experiment_game(spec, seed);
+        const GbdSolver solver(game);
+        tradefl::Rng rng(seed);
+        for (int trial = 0; trial < 10; ++trial) {
+          std::vector<std::size_t> freq(n);
+          for (OrgId i = 0; i < n; ++i) {
+            const auto levels = game.feasible_freq_levels(i);
+            ASSERT_FALSE(levels.empty());
+            freq[i] = levels[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(levels.size()) - 1))];
+          }
+          expect_kkt_certificate(game, freq, solver.solve_primal(freq), cases);
+          ++solves;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(solves, 600u);
+  // Every case of the certificate occurs.
+  EXPECT_GT(cases.lower, 0u);
+  EXPECT_GT(cases.interior, 0u);
+  EXPECT_GT(cases.deadline, 0u);
+  EXPECT_GT(cases.cap, 0u);
+}
+
+TEST(Gbd, PrimalBreaksBreakpointTiesInIndexOrder) {
+  // Two identical organizations have bitwise-equal breakpoints β_i.
+  // Sweeping the energy weight ϖ_e moves their β through P'(Ω); wherever the
+  // optimum splits the pair, the lower index leaves its upper end first.
+  game::Organization twin;
+  game::Organization other;
+  other.data_size_bits = 15e9;
+  other.profitability = 900.0;
+  other.cycles_per_bit = 12.0;
+  game::CompetitionMatrix rho(3);
+  for (OrgId i = 0; i < 3; ++i) {
+    for (OrgId j = 0; j < 3; ++j) {
+      if (i != j) rho.set(i, j, 0.05);
+    }
+  }
+  const std::vector<std::size_t> freq(3, 2);
+  KktCases cases;
+  std::size_t split = 0;
+  for (int step = 0; step <= 60; ++step) {
+    game::GameParams params;
+    params.omega_e = 1e-3 * std::pow(10.0, step / 15.0);
+    auto accuracy = std::make_shared<const game::SqrtAccuracyModel>(params.epochs_g, params.a0);
+    const game::CoopetitionGame game({twin, twin, other}, rho, accuracy, params);
+    const PrimalSolve primal = GbdSolver(game).solve_primal(freq);
+    expect_kkt_certificate(game, freq, primal, cases);
+    EXPECT_LE(primal.d[0], primal.d[1]) << "omega_e " << params.omega_e;
+    if (primal.d[0] < primal.d[1]) ++split;
+  }
+  EXPECT_GT(split, 0u);
+}
+
 TEST(Gbd, InfeasibleFrequencyDetected) {
   // Force an infeasible primal: tight deadline at the lowest level.
   ExperimentSpec spec;
@@ -100,16 +238,70 @@ TEST(Cgbd, ConvergesAndIsFeasible) {
 }
 
 TEST(Cgbd, MatchesExhaustiveEnumeration) {
-  // Lemma 3: (δ+ε)-optimal. Compare against brute force over all frequency
-  // tuples with the same primal solver.
-  for (std::uint64_t seed : {1ULL, 42ULL, 123ULL}) {
-    const auto game = small_game(seed);
-    const Solution cgbd = run_cgbd(game);
-    const Solution brute = solve_by_enumeration(game);
-    const double best = brute.diagnostic("best_potential");
-    const double cgbd_value = game::potential(game, cgbd.profile);
-    EXPECT_GE(cgbd_value, best - 1e-4 * std::max(1.0, std::abs(best))) << "seed " << seed;
+  // Lemma 3 with an exact primal: CGBD's incumbent is the potential maximizer
+  // that brute force over all frequency tuples finds with the same primal.
+  for (std::size_t n = 4; n <= 6; ++n) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const auto game = small_game(seed, n);
+      const Solution cgbd = run_cgbd(game);
+      const Solution brute = solve_by_enumeration(game);
+      EXPECT_NEAR(game::potential(game, cgbd.profile), brute.diagnostic("best_potential"), 1e-9)
+          << n << " orgs, seed " << seed;
+    }
   }
+}
+
+TEST(Cgbd, OptimalityCutIsTightAtItsOwnTuple) {
+  // With one frequency level per org the master has a single tuple, so after
+  // the first iteration UB is the optimality cut at its own tuple and LB is
+  // v(f) there. An exact primal makes the two equal.
+  for (std::size_t n : {6, 10, 16}) {
+    ExperimentSpec spec;
+    spec.org_count = n;
+    spec.freq_levels = 1;
+    for (std::uint64_t k = 0; k < 100; ++k) {
+      const auto game = make_experiment_game(spec, Rng::derive_stream_seed(7, k + 1));
+      const Solution solution = run_cgbd(game);
+      EXPECT_EQ(solution.iterations, 1) << n << " orgs, game " << k;
+      EXPECT_NEAR(solution.diagnostic("gap"), 0.0, 1e-9) << n << " orgs, game " << k;
+    }
+  }
+}
+
+/// `converged` must mean UB - LB <= ε. CGBD also stops when the master
+/// re-proposes a visited tuple, which is sound only because each optimality
+/// cut is tight at its own tuple, i.e. only with an exact primal.
+void expect_converged_within_epsilon(std::size_t orgs, std::uint64_t games) {
+  ExperimentSpec spec;
+  spec.org_count = orgs;
+  const GbdOptions options;
+  std::uint64_t converged = 0;
+  std::uint64_t loose = 0;
+  double worst_gap = 0.0;
+  for (std::uint64_t k = 0; k < games; ++k) {
+    const auto game = make_experiment_game(spec, Rng::derive_stream_seed(42, k + 1));
+    const Solution solution = run_cgbd(game, options);
+    if (!solution.converged) continue;
+    ++converged;
+    const double gap = solution.diagnostic("gap");
+    if (gap > options.epsilon) ++loose;
+    worst_gap = std::max(worst_gap, gap);
+  }
+  EXPECT_EQ(loose, 0u) << loose << " of " << converged << " converged " << orgs
+                       << "-org solves end with UB - LB above epsilon; worst " << worst_gap;
+  EXPECT_GE(converged, games - games / 10) << orgs << " orgs";
+}
+
+TEST(CgbdSweep, ConvergedMeansGapWithinEpsilonAt6Orgs) {
+  expect_converged_within_epsilon(6, 1000);
+}
+
+TEST(CgbdSweep, ConvergedMeansGapWithinEpsilonAt8Orgs) {
+  expect_converged_within_epsilon(8, 200);
+}
+
+TEST(CgbdSweep, ConvergedMeansGapWithinEpsilonAt10Orgs) {
+  expect_converged_within_epsilon(10, 50);
 }
 
 TEST(Cgbd, UpperBoundDominatesLowerBound) {
@@ -178,43 +370,6 @@ TEST(GbdFaults, EmptyPlanInjectorIsNoOp) {
   for (OrgId i = 0; i < game.size(); ++i) {
     EXPECT_EQ(faulted.profile[i].data_fraction, plain.profile[i].data_fraction);  // bitwise
     EXPECT_EQ(faulted.profile[i].freq_index, plain.profile[i].freq_index);
-  }
-}
-
-TEST(GbdFaults, PerturbationRecoversViaDampedRestart) {
-  // Every primal solve is poisoned with NaN; the solver must recover through
-  // the damped barrier restart and still converge to a feasible equilibrium.
-  const auto game = small_game(42);
-  FaultPlan plan;
-  plan.solver_perturb_rate = 1.0;
-  const FaultInjector injector(plan);
-  GbdOptions options;
-  options.faults = &injector;
-  const Solution recovered = run_cgbd(game, options);
-  EXPECT_TRUE(recovered.converged);
-  EXPECT_TRUE(game.is_feasible(recovered.profile));
-  // The damped restart solves the same concave primal: the equilibrium value
-  // matches the unperturbed run to solver tolerance.
-  const Solution plain = run_cgbd(game);
-  const double v_recovered = game::potential(game, recovered.profile);
-  const double v_plain = game::potential(game, plain.profile);
-  EXPECT_NEAR(v_recovered, v_plain, 1e-4 * std::max(1.0, std::abs(v_plain)));
-}
-
-TEST(GbdFaults, PerturbationScheduleIsDeterministic) {
-  const auto game = small_game(42);
-  FaultPlan plan;
-  plan.solver_perturb_rate = 0.5;
-  plan.seed = 19;
-  const FaultInjector injector(plan);
-  GbdOptions options;
-  options.faults = &injector;
-  const Solution a = run_cgbd(game, options);
-  const Solution b = run_cgbd(game, options);
-  ASSERT_EQ(a.profile.size(), b.profile.size());
-  for (OrgId i = 0; i < game.size(); ++i) {
-    EXPECT_EQ(a.profile[i].data_fraction, b.profile[i].data_fraction);
-    EXPECT_EQ(a.profile[i].freq_index, b.profile[i].freq_index);
   }
 }
 

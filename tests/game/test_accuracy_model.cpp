@@ -15,6 +15,10 @@ struct ModelCase {
   AccuracyModelPtr model;
 };
 
+// Without this, gtest prints the case as its raw bytes, a heap address that
+// differs from process to process, and that dump ends up in the ctest names.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
 class AccuracyModelProperties : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(AccuracyModelProperties, PerformanceZeroAtOrigin) {
@@ -92,8 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{"power_alpha1", std::make_shared<const PowerLawAccuracyModel>(0.6, 40.0, 1.0)},
         ModelCase{"exp", std::make_shared<const ExponentialAccuracyModel>(0.7, 60.0)},
         ModelCase{"empirical",
-                  std::make_shared<const EmpiricalAccuracyModel>(sample_fit(), 0.9)}),
-    [](const ::testing::TestParamInfo<ModelCase>& info) { return info.param.name; });
+                  std::make_shared<const EmpiricalAccuracyModel>(sample_fit(), 0.9)}));
 
 TEST(SqrtAccuracyModel, AnchorsLossAtA0) {
   const SqrtAccuracyModel model(10.0, 0.75);

@@ -26,13 +26,12 @@ FaultPlan mixed_plan() {
   plan.corrupt_rate = 0.1;
   plan.straggler_rate = 0.1;
   plan.submit_failure_rate = 0.05;
-  plan.solver_perturb_rate = 0.5;
   return plan;
 }
 
 SessionOptions chaos_options() {
   SessionOptions options;
-  options.scheme = core::Scheme::kCgbd;  // exercises solver recovery too
+  options.scheme = core::Scheme::kCgbd;
   options.run_training = true;
   options.sample_scale = 0.12;
   options.fedavg.rounds = 2;
@@ -141,22 +140,6 @@ TEST(Chaos, SettlementAbortIsGraceful) {
   // The report spells out the abort instead of pretending a settlement.
   const std::string text = describe_session(game, result);
   EXPECT_NE(text.find("ABORTED"), std::string::npos);
-}
-
-TEST(Chaos, SolverPerturbationStillSettles) {
-  const auto game = game::make_toy_game();
-  TradingSession session(game);
-  SessionOptions options;
-  options.scheme = core::Scheme::kCgbd;
-  options.faults.solver_perturb_rate = 1.0;  // poison every primal solve
-  const SessionResult result = session.run(options);
-  // Structured recovery absorbs the perturbations: equilibrium found, full
-  // settlement lands, budget balances.
-  EXPECT_TRUE(result.mechanism.solution.converged);
-  EXPECT_TRUE(result.settled);
-  EXPECT_TRUE(result.chain_valid);
-  EXPECT_EQ(result.settlement_sum, 0);
-  EXPECT_TRUE(result.properties.nash_equilibrium);
 }
 
 TEST(Chaos, QuorumShortfallIsReportedAsDegradation) {

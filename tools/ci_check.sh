@@ -27,8 +27,8 @@
 #      Chaos); tfl-bench-diff stays outside the filter — it is single-threaded
 #      and never touches the ThreadPool
 #   9. chaos suite re-run under ASan+UBSan (fault-injection paths: dropout,
-#      corruption quarantine, retry exhaustion, solver recovery) as its own
-#      named gate so a filter change can never silently drop it
+#      corruption quarantine, retry exhaustion, CGBD under an inert injector)
+#      as its own named gate so a filter change can never silently drop it
 #  10. kill-and-resume suite re-run under ASan+UBSan (snapshot corruption,
 #      chain WAL replay, checkpoint/resume bit-identity, real SIGKILL against
 #      the CLI binary) as its own named gate
@@ -201,7 +201,8 @@ if [ "$run_sanitizers" -eq 1 ]; then
 
   echo "=== ci: chaos suite (asan-ubsan) ==="
   # Fault-injection robustness tests under ASan+UBSan: dropout/quarantine in
-  # FL, retry/abort on chain, solver recovery, and the thread-count replay.
+  # FL, retry/abort on chain, CGBD under an inert injector, and the
+  # thread-count replay.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'Chaos|Retry|Fault|GbdFaults|Serve'
 

@@ -696,7 +696,7 @@ int run_self_test() {
        {"missing-override"}},
       {"src/math/fixture_layering.cpp",
        "#include \"fl/tensor.h\"\n"
-       "#include \"math/vec.h\"\n",
+       "#include \"math/grid.h\"\n",
        {"include-layering"}},
       {"src/core/fixture_clock.cpp",
        "#include <chrono>\n"
@@ -854,7 +854,7 @@ int run_self_test() {
       // Clean file: banned words only in comments/strings, tolerance compare,
       // override used properly, allowed include edge. Must produce no findings.
       {"src/game/fixture_clean.cpp",
-       "#include \"math/vec.h\"\n"
+       "#include \"math/grid.h\"\n"
        "// mentions new and delete and rand() in a comment only\n"
        "const char* kMessage = \"use new delete rand() == 0.0\";\n"
        "bool close(double x) { return std::abs(x - 1.0) < 1e-9; }\n"
