@@ -84,10 +84,10 @@ void bm_conv2d(benchmark::State& state, fl::KernelBackend backend, bool backward
 }
 
 void bm_dense(benchmark::State& state, fl::KernelBackend backend, bool backward,
-              std::size_t batch) {
+              std::size_t in_features, std::size_t out_features, std::size_t batch) {
   Rng rng(13);
-  fl::Dense dense(256, 128, rng);
-  fl::Tensor input({batch, 256});
+  fl::Dense dense(in_features, out_features, rng);
+  fl::Tensor input({batch, in_features});
   fill_random(input.data(), input.size(), rng);
   fl::set_kernel_backend(backend);
   fl::Tensor output = dense.forward(input, /*training=*/true);
@@ -197,17 +197,31 @@ int main(int argc, char** argv) {
                                conv_batch)
       ->Iterations(iters(20))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("dense_fwd/naive", bm_dense, fl::KernelBackend::kNaive, false,
-                               dense_batch)
+                               256, 128, dense_batch)
       ->Iterations(iters(200))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("dense_fwd/gemm", bm_dense, fl::KernelBackend::kGemm, false,
-                               dense_batch)
+                               256, 128, dense_batch)
       ->Iterations(iters(200))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("dense_bwd/naive", bm_dense, fl::KernelBackend::kNaive, true,
-                               dense_batch)
+                               256, 128, dense_batch)
       ->Iterations(iters(100))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("dense_bwd/gemm", bm_dense, fl::KernelBackend::kGemm, true,
-                               dense_batch)
+                               256, 128, dense_batch)
       ->Iterations(iters(100))->Unit(benchmark::kMicrosecond);
+  // The MLP's first layer as perfbench's train_mlp trains it (144 -> 32,
+  // batch 32); backward here is the full one, input gradient included.
+  benchmark::RegisterBenchmark("dense_mlp_fwd/naive", bm_dense, fl::KernelBackend::kNaive,
+                               false, 144, 32, 32)
+      ->Iterations(iters(800))->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("dense_mlp_fwd/gemm", bm_dense, fl::KernelBackend::kGemm, false,
+                               144, 32, 32)
+      ->Iterations(iters(800))->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("dense_mlp_bwd/naive", bm_dense, fl::KernelBackend::kNaive,
+                               true, 144, 32, 32)
+      ->Iterations(iters(800))->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("dense_mlp_bwd/gemm", bm_dense, fl::KernelBackend::kGemm, true,
+                               144, 32, 32)
+      ->Iterations(iters(800))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("fedavg_round/naive", bm_fedavg_round,
                                fl::KernelBackend::kNaive, samples)
       ->Iterations(iters(4))->Unit(benchmark::kMillisecond);
@@ -222,7 +236,8 @@ int main(int argc, char** argv) {
   AsciiTable table({"kernel", "naive us/iter", "gemm us/iter", "speedup"});
   CsvWriter csv({"kernel", "naive_us", "gemm_us", "speedup"});
   for (const char* kernel :
-       {"sgemm", "conv2d_fwd", "conv2d_bwd", "dense_fwd", "dense_bwd", "fedavg_round"}) {
+       {"sgemm", "conv2d_fwd", "conv2d_bwd", "dense_fwd", "dense_bwd", "dense_mlp_fwd",
+        "dense_mlp_bwd", "fedavg_round"}) {
     const double naive = reporter.seconds(std::string(kernel) + "/naive");
     const double with_gemm = reporter.seconds(std::string(kernel) + "/gemm");
     const double speedup = with_gemm > 0.0 ? naive / with_gemm : 0.0;

@@ -86,13 +86,21 @@ Tensor Dense::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*input_grad=*/true);
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
+  (void)backward_pass(grad_output, /*input_grad=*/false);
+}
+
+Tensor Dense::backward_pass(const Tensor& grad_output, bool input_grad) {
   const std::size_t batch = cached_input_.dim(0);
   if (grad_output.rank() != 2 || grad_output.dim(0) != batch ||
       grad_output.dim(1) != out_features_) {
     throw std::invalid_argument("Dense: bad grad shape " + grad_output.shape_string());
   }
-  Tensor grad_input({batch, in_features_});
   if (kernel_backend() == KernelBackend::kNaive) {
+    Tensor grad_input({batch, in_features_});
     for (std::size_t n = 0; n < batch; ++n) {
       const float* g_row = grad_output.data() + n * out_features_;
       const float* x_row = cached_input_.data() + n * in_features_;
@@ -111,10 +119,6 @@ Tensor Dense::backward(const Tensor& grad_output) {
     return grad_input;
   }
   ThreadPool* pool = global_pool();
-  // dX = dY W (each grad_input row owned by one worker).
-  gemm::sgemm_nn(batch, in_features_, out_features_, grad_output.data(), out_features_,
-                 weight_.value.data(), in_features_, /*accumulate=*/false, grad_input.data(),
-                 in_features_, pool);
   // dW += dY^T X (each weight-grad row owned by one worker, k = batch in
   // ascending order — the same accumulation order at every thread count).
   gemm::sgemm_tn(out_features_, in_features_, batch, grad_output.data(), out_features_,
@@ -124,6 +128,13 @@ Tensor Dense::backward(const Tensor& grad_output) {
     const float* g_row = grad_output.data() + n * out_features_;
     for (std::size_t o = 0; o < out_features_; ++o) bias_.grad[o] += g_row[o];
   }
+  if (!input_grad) return {};
+  // dX = dY W (each grad_input row owned by one worker; it writes no buffer
+  // the parameter half reads, so running it second reorders nothing).
+  Tensor grad_input({batch, in_features_});
+  gemm::sgemm_nn(batch, in_features_, out_features_, grad_output.data(), out_features_,
+                 weight_.value.data(), in_features_, /*accumulate=*/false, grad_input.data(),
+                 in_features_, pool);
   return grad_input;
 }
 
@@ -146,6 +157,10 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t ke
   if (stride == 0) throw std::invalid_argument("Conv2D: stride must be >= 1");
 }
 
+std::size_t Conv2D::out_extent(std::size_t in_extent) const {
+  return (in_extent + 2 * pad_ - kernel_) / stride_ + 1;
+}
+
 Tensor Conv2D::forward(const Tensor& input, bool training) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2D: expected (n, " + std::to_string(in_channels_) +
@@ -160,8 +175,8 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   TFL_CHECK(in_h + 2 * pad_ >= kernel_ && in_w + 2 * pad_ >= kernel_,
             "kernel ", kernel_, " exceeds padded input ", input.shape_string(),
             " with pad ", pad_);
-  const std::size_t out_h = (in_h + 2 * pad_ - kernel_) / stride_ + 1;
-  const std::size_t out_w = (in_w + 2 * pad_ - kernel_) / stride_ + 1;
+  const std::size_t out_h = out_extent(in_h);
+  const std::size_t out_w = out_extent(in_w);
   const std::size_t cin_per_group = in_channels_ / groups_;
   const std::size_t cout_per_group = out_channels_ / groups_;
 
@@ -227,15 +242,31 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, /*input_grad=*/true);
+}
+
+void Conv2D::backward_params(const Tensor& grad_output) {
+  (void)backward_pass(grad_output, /*input_grad=*/false);
+}
+
+Tensor Conv2D::backward_pass(const Tensor& grad_output, bool input_grad) {
   const std::size_t batch = cached_input_.dim(0);
   const std::size_t in_h = cached_input_.dim(2);
   const std::size_t in_w = cached_input_.dim(3);
-  const std::size_t out_h = grad_output.dim(2);
-  const std::size_t out_w = grad_output.dim(3);
+  const std::size_t out_h = out_extent(in_h);
+  const std::size_t out_w = out_extent(in_w);
+  // Both halves below index grad_output by the forward's output shape.
+  if (grad_output.rank() != 4 || grad_output.dim(0) != batch ||
+      grad_output.dim(1) != out_channels_ || grad_output.dim(2) != out_h ||
+      grad_output.dim(3) != out_w) {
+    throw std::invalid_argument("Conv2D: bad grad shape " + grad_output.shape_string() +
+                                " for output (" + std::to_string(batch) + ", " +
+                                std::to_string(out_channels_) + ", " + std::to_string(out_h) +
+                                ", " + std::to_string(out_w) + ")");
+  }
   const std::size_t cin_per_group = in_channels_ / groups_;
   const std::size_t cout_per_group = out_channels_ / groups_;
 
-  Tensor grad_input(cached_input_.shape());
   if (kernel_backend() == KernelBackend::kGemm) {
     const gemm::ConvGeom geom{cin_per_group, in_h, in_w, kernel_, stride_, pad_, out_h, out_w};
     const std::size_t patch = geom.patch();
@@ -243,21 +274,6 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
     const std::size_t in_sample = in_channels_ * in_h * in_w;
     const std::size_t out_sample = out_channels_ * area;
     ThreadPool* pool = global_pool();
-    // dX: per sample/group, fold W_g^T dY_g back through col2im. Samples are
-    // disjoint outputs, so the batch parallelizes without a reduction.
-    parallel_for(pool, 0, batch, 1, [&](std::size_t lo, std::size_t hi, std::size_t) {
-      float* dcol = col_scratch(patch * area).data();
-      for (std::size_t n = lo; n < hi; ++n) {
-        for (std::size_t g = 0; g < groups_; ++g) {
-          gemm::sgemm_tn(patch, area, cout_per_group,
-                         weight_.value.data() + g * cout_per_group * patch, patch,
-                         grad_output.data() + n * out_sample + g * cout_per_group * area, area,
-                         /*accumulate=*/false, dcol, area, nullptr);
-          gemm::col2im_add(dcol, geom,
-                           grad_input.data() + n * in_sample + g * cin_per_group * in_h * in_w);
-        }
-      }
-    });
     // dW/db: partial sums over fixed-size sample chunks, folded serially in
     // chunk order — the partial-sum tree depends only on the batch size, so
     // gradients are bit-identical at any thread count.
@@ -301,8 +317,28 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
         });
     for (std::size_t i = 0; i < total.w.size(); ++i) weight_.grad[i] += total.w[i];
     for (std::size_t i = 0; i < total.b.size(); ++i) bias_.grad[i] += total.b[i];
+    if (!input_grad) return {};
+    // dX: per sample/group, fold W_g^T dY_g back through col2im. Samples are
+    // disjoint outputs, so the batch parallelizes without a reduction; it
+    // writes no buffer the parameter half reads, so running it second reorders
+    // nothing.
+    Tensor grad_input(cached_input_.shape());
+    parallel_for(pool, 0, batch, 1, [&](std::size_t lo, std::size_t hi, std::size_t) {
+      float* dcol = col_scratch(patch * area).data();
+      for (std::size_t n = lo; n < hi; ++n) {
+        for (std::size_t g = 0; g < groups_; ++g) {
+          gemm::sgemm_tn(patch, area, cout_per_group,
+                         weight_.value.data() + g * cout_per_group * patch, patch,
+                         grad_output.data() + n * out_sample + g * cout_per_group * area, area,
+                         /*accumulate=*/false, dcol, area, nullptr);
+          gemm::col2im_add(dcol, geom,
+                           grad_input.data() + n * in_sample + g * cin_per_group * in_h * in_w);
+        }
+      }
+    });
     return grad_input;
   }
+  Tensor grad_input(cached_input_.shape());
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t oc = 0; oc < out_channels_; ++oc) {
       const std::size_t group = oc / cout_per_group;

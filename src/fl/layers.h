@@ -33,6 +33,11 @@ class Layer {
   /// returns the gradient with respect to the layer input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Accumulates the parameter gradients of backward() but may skip the
+  /// input gradient (for a layer whose input gradient nobody reads). The
+  /// parameter gradients are bit-identical to backward()'s.
+  virtual void backward_params(const Tensor& grad_output) { (void)backward(grad_output); }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> parameters() { return {}; }
 
@@ -48,10 +53,15 @@ class Dense final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Dense"; }
 
  private:
+  /// Shared backward: parameter gradients, then dX when `input_grad` (the
+  /// naive backend's fused loop always computes dX).
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_features_;
   std::size_t out_features_;
   Param weight_;
@@ -69,10 +79,17 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
 
  private:
+  /// Output height (or width) of a forward pass over an input that high (or
+  /// wide).
+  [[nodiscard]] std::size_t out_extent(std::size_t in_extent) const;
+  /// Shared backward, as Dense::backward_pass.
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_channels_, out_channels_, kernel_, stride_, pad_, groups_;
   Param weight_;  // (out, in/groups, k, k)
   Param bias_;    // (out)

@@ -5,10 +5,15 @@
 
 namespace tradefl::fl {
 
-Net::Net(std::vector<LayerPtr> layers) : layers_(std::move(layers)) {}
+Net::Net(std::vector<LayerPtr> layers) {
+  for (auto& layer : layers) append(std::move(layer));
+}
 
 void Net::append(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("net: null layer");
+  if (first_param_layer_ == layers_.size() && layer->parameters().empty()) {
+    ++first_param_layer_;
+  }
   layers_.push_back(std::move(layer));
 }
 
@@ -19,8 +24,12 @@ Tensor Net::forward(const Tensor& input, bool training) {
 }
 
 void Net::backward(const Tensor& grad_output) {
+  if (first_param_layer_ == layers_.size()) return;
   Tensor grad = grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) grad = layers_[i]->backward(grad);
+  for (std::size_t i = layers_.size(); --i > first_param_layer_;) {
+    grad = layers_[i]->backward(grad);
+  }
+  layers_[first_param_layer_]->backward_params(grad);
 }
 
 std::vector<Param*> Net::parameters() {

@@ -21,7 +21,10 @@ class Net {
   /// Forward pass through all layers.
   Tensor forward(const Tensor& input, bool training);
 
-  /// Backward pass; call after forward(…, training = true).
+  /// Backward pass; call after forward(…, training = true). Accumulates
+  /// every parameter gradient. The first layer with parameters runs
+  /// backward_params(), and the layers below it are skipped: nothing reads
+  /// their input gradients.
   void backward(const Tensor& grad_output);
 
   [[nodiscard]] std::vector<Param*> parameters();
@@ -37,10 +40,13 @@ class Net {
   void set_weights(const std::vector<float>& flat);
 
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
+  [[nodiscard]] Layer& layer(std::size_t index) { return *layers_.at(index); }
   [[nodiscard]] std::string summary();
 
  private:
   std::vector<LayerPtr> layers_;
+  /// Index of the first layer with parameters; layers_.size() if none.
+  std::size_t first_param_layer_ = 0;
 };
 
 }  // namespace tradefl::fl

@@ -98,12 +98,6 @@ double potential_gradient_d(const CoopetitionGame& game, const StrategyProfile& 
   return gradient;
 }
 
-double potential_hessian_dd(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i, OrgId j) {
-  return game.accuracy().performance_second_derivative(game.omega(profile)) *
-         game.contribution_weight(i) * game.contribution_weight(j);
-}
-
 PotentialIdentityCheck check_weighted_potential_identity(const CoopetitionGame& game,
                                                          const StrategyProfile& profile,
                                                          std::size_t samples,

@@ -33,11 +33,6 @@ double paper_potential(const CoopetitionGame& game, const StrategyProfile& profi
 double potential_gradient_d(const CoopetitionGame& game, const StrategyProfile& profile,
                             OrgId i);
 
-/// ∂²U/∂d_i∂d_j = P''(Ω) w_i w_j (rank-one Hessian; energy/redistribution
-/// parts are linear in d at fixed f).
-double potential_hessian_dd(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i, OrgId j);
-
 /// Result of numerically probing the weighted-potential identity (Eq. 14):
 /// z_i [U(π_i', π_-i) - U(π)] vs C_i(π_i', π_-i) - C_i(π).
 struct PotentialIdentityCheck {

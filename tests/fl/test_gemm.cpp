@@ -1,16 +1,25 @@
 // The GEMM backend's contract: numerical agreement with the naive seed
-// kernels, exact bit-identity across pool sizes, im2col/col2im adjointness,
-// and Conv2D/Dense producing the same results under either backend.
+// kernels, bit-identity with the scalar loops the vectorized kernels replaced
+// and across pool sizes, im2col/col2im adjointness, Conv2D/Dense producing the
+// same results under either backend, Net::backward's skipped input gradient
+// leaving every parameter gradient unchanged, and a guard that the kernels
+// stay vectorized.
 #include "fl/gemm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "fl/layers.h"
+#include "fl/model_zoo.h"
+#include "fl/net.h"
 
 namespace tradefl::fl {
 namespace {
@@ -88,6 +97,179 @@ TEST(Gemm, BitIdenticalAcrossPoolSizes) {
   ThreadPool pool(4);
   gemm::sgemm_nn(m, n, k, a.data(), k, b.data(), n, false, threaded.data(), n, &pool);
   EXPECT_EQ(serial, threaded);  // exact: rows partition, fixed ascending-k order
+}
+
+// The scalar loops the vectorized kernels replaced, serial and without the
+// k-tiling (tiles are walked in ascending order, so tiling never changed an
+// element's summation order). Built with vectorization off, so they stay
+// scalar at any optimization level: the bit-exact oracle below and the
+// reference of the vectorization guard.
+#if defined(__GNUC__) && !defined(__clang__)
+#define SCALAR_ONLY __attribute__((optimize("no-tree-vectorize")))
+#else
+#define SCALAR_ONLY
+#endif
+
+SCALAR_ONLY void scalar_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                           std::size_t lda, const float* b, std::size_t ldb, bool accumulate,
+                           float* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    float* c_row = c + i * ldc;
+    if (!accumulate) std::fill(c_row, c_row + n, 0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = a[i * lda + kk];
+      const float* b_row = b + kk * ldb;
+      for (std::size_t j = 0; j < n; ++j) c_row[j] += aik * b_row[j];
+    }
+  }
+}
+
+SCALAR_ONLY void scalar_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                           std::size_t lda, const float* b, std::size_t ldb, bool accumulate,
+                           float* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * lda;
+    float* c_row = c + i * ldc;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * ldb;
+      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+      std::size_t kk = 0;
+      for (; kk + 4 <= k; kk += 4) {
+        acc0 += a_row[kk] * b_row[kk];
+        acc1 += a_row[kk + 1] * b_row[kk + 1];
+        acc2 += a_row[kk + 2] * b_row[kk + 2];
+        acc3 += a_row[kk + 3] * b_row[kk + 3];
+      }
+      for (; kk < k; ++kk) acc0 += a_row[kk] * b_row[kk];
+      const float total = (acc0 + acc1) + (acc2 + acc3);
+      c_row[j] = accumulate ? c_row[j] + total : total;
+    }
+  }
+}
+
+SCALAR_ONLY void scalar_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                           std::size_t lda, const float* b, std::size_t ldb, bool accumulate,
+                           float* c, std::size_t ldc) {
+  if (!accumulate) {
+    for (std::size_t i = 0; i < m; ++i) std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float* a_row = a + kk * lda;
+    const float* b_row = b + kk * ldb;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float aki = a_row[i];
+      float* c_row = c + i * ldc;
+      for (std::size_t j = 0; j < n; ++j) c_row[j] += aki * b_row[j];
+    }
+  }
+}
+
+using KernelFn = void (*)(std::size_t, std::size_t, std::size_t, const float*, std::size_t,
+                          const float*, std::size_t, bool, float*, std::size_t, ThreadPool*);
+using ScalarFn = void (*)(std::size_t, std::size_t, std::size_t, const float*, std::size_t,
+                          const float*, std::size_t, bool, float*, std::size_t);
+
+struct KernelCase {
+  const char* name;
+  KernelFn kernel;
+  ScalarFn oracle;
+  bool a_transposed;  // A stored (k, m) instead of (m, k)
+  bool b_transposed;  // B stored (n, k) instead of (k, n)
+};
+
+/// Every shape, accumulate mode, row padding and pool size must reproduce
+/// the scalar loop's bits exactly, including the padding C never owns.
+void expect_matches_scalar_bits(const KernelCase& kc) {
+  constexpr std::size_t kPad = 3;
+  const std::vector<std::size_t> ms{1, 5, 32};
+  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 144};
+  const std::vector<std::size_t> ks{1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 144};
+  const std::size_t most = (144 + kPad) * 144;
+  const auto a_values = random_values(most, 51);
+  const auto b_values = random_values(most, 52);
+  const auto c_values = random_values(most, 53);
+  ThreadPool four(4);
+  for (std::size_t m : ms) {
+    for (std::size_t n : ns) {
+      for (std::size_t k : ks) {
+        for (bool accumulate : {false, true}) {
+          for (std::size_t pad : {std::size_t{0}, kPad}) {
+            for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+              const std::size_t lda = (kc.a_transposed ? m : k) + pad;
+              const std::size_t ldb = (kc.b_transposed ? k : n) + pad;
+              const std::size_t ldc = n + pad;
+              std::vector<float> expected(c_values.begin(), c_values.begin() + m * ldc);
+              std::vector<float> actual = expected;
+              kc.oracle(m, n, k, a_values.data(), lda, b_values.data(), ldb, accumulate,
+                        expected.data(), ldc);
+              kc.kernel(m, n, k, a_values.data(), lda, b_values.data(), ldb, accumulate,
+                        actual.data(), ldc, pool);
+              if (std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(float)) !=
+                  0) {
+                ADD_FAILURE() << kc.name << " differs from the scalar loop at m=" << m
+                              << " n=" << n << " k=" << k << " accumulate=" << accumulate
+                              << " pad=" << pad << " pool=" << (pool == nullptr ? 0 : 4);
+                return;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmOracle, NnBitIdenticalToScalarLoop) {
+  expect_matches_scalar_bits({"sgemm_nn", &gemm::sgemm_nn, &scalar_nn, false, false});
+}
+
+TEST(GemmOracle, NtBitIdenticalToScalarLoop) {
+  expect_matches_scalar_bits({"sgemm_nt", &gemm::sgemm_nt, &scalar_nt, false, true});
+}
+
+TEST(GemmOracle, TnBitIdenticalToScalarLoop) {
+  expect_matches_scalar_bits({"sgemm_tn", &gemm::sgemm_tn, &scalar_tn, true, false});
+}
+
+// ROADMAP 8(a)'s guard: the axpy kernels must run at least twice as fast as
+// the same loop with vectorization off. Both sides run in this process, so
+// the ratio does not depend on how fast the host is.
+TEST(GemmVectorization, AxpyKernelsBeatScalarLoopTwofold) {
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "times kernels: needs an optimized build without sanitizers";
+#elif defined(__clang__)
+  GTEST_SKIP() << "the scalar reference is only kept scalar by GCC's optimize attribute";
+#else
+  // The MLP's first layer (144 -> 32, batch 32): dX = dY W is
+  // sgemm_nn(32, 144, 32) and dW += dY^T X is sgemm_tn(32, 144, 32).
+  constexpr std::size_t kBatch = 32, kOut = 32, kIn = 144;
+  constexpr int kRuns = 30, kCallsPerRun = 8;
+  const auto dy = random_values(kBatch * kOut, 61);
+  const auto rhs = random_values(kOut * kIn, 62);
+  for (const KernelCase& kc : {KernelCase{"sgemm_nn", &gemm::sgemm_nn, &scalar_nn, false, false},
+                               KernelCase{"sgemm_tn", &gemm::sgemm_tn, &scalar_tn, true, false}}) {
+    std::vector<float> vectorized(kBatch * kIn), scalar(kBatch * kIn);
+    double best_kernel = std::numeric_limits<double>::infinity();
+    double best_scalar = best_kernel;
+    for (int run = 0; run < kRuns; ++run) {
+      Stopwatch watch;
+      for (int call = 0; call < kCallsPerRun; ++call) {
+        kc.kernel(kBatch, kIn, kOut, dy.data(), kOut, rhs.data(), kIn, false, vectorized.data(),
+                  kIn, nullptr);
+      }
+      best_kernel = std::min(best_kernel, watch.elapsed_seconds());
+      watch.reset();
+      for (int call = 0; call < kCallsPerRun; ++call) {
+        kc.oracle(kBatch, kIn, kOut, dy.data(), kOut, rhs.data(), kIn, false, scalar.data(), kIn);
+      }
+      best_scalar = std::min(best_scalar, watch.elapsed_seconds());
+    }
+    EXPECT_EQ(vectorized, scalar) << kc.name;
+    EXPECT_GE(best_scalar / best_kernel, 2.0)
+        << kc.name << ": " << best_kernel * 1e6 / kCallsPerRun << " us/call vs scalar "
+        << best_scalar * 1e6 / kCallsPerRun << " us/call";
+  }
+#endif
 }
 
 TEST(Gemm, Im2colExtractsPatchesWithZeroPadding) {
@@ -259,6 +441,62 @@ TEST(GemmConv2D, ForwardBitIdenticalAcrossPoolSizes) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], threaded[i]) << "index " << i;
   }
+}
+
+std::vector<float> flat_grads(Net& net) {
+  std::vector<float> flat;
+  for (Param* param : net.parameters()) {
+    flat.insert(flat.end(), param->grad.data(), param->grad.data() + param->grad.size());
+  }
+  return flat;
+}
+
+/// Net::backward skips the input gradient of the first layer with parameters
+/// and everything below it; the parameter gradients must still equal, bit for
+/// bit, those of full backward() calls through every layer. Runs on a
+/// 4-worker pool, so the split halves also run under the TSan suite.
+void expect_backward_matches_full_backward(ModelKind kind) {
+  BackendRestorer restore;
+  set_global_threads(4);
+  ModelSpec spec;
+  spec.kind = kind;
+  spec.seed = 71;
+  spec.base_width = 4;
+  for (KernelBackend backend : {KernelBackend::kGemm, KernelBackend::kNaive}) {
+    set_kernel_backend(backend);
+    Net net = build_model(spec);
+    Tensor input({9, spec.channels, spec.height, spec.width});  // two gradient chunks
+    const auto values = random_values(input.size(), 72);
+    for (std::size_t i = 0; i < input.size(); ++i) input[i] = values[i];
+    const Tensor logits = net.forward(input, /*training=*/true);
+    Tensor grad(logits.shape());
+    const auto grad_values = random_values(grad.size(), 73);
+    for (std::size_t i = 0; i < grad.size(); ++i) grad[i] = grad_values[i];
+
+    net.zero_grad();
+    Tensor layer_grad = grad;
+    for (std::size_t i = net.layer_count(); i-- > 0;) {
+      layer_grad = net.layer(i).backward(layer_grad);
+    }
+    const std::vector<float> full = flat_grads(net);
+    net.zero_grad();
+    net.backward(grad);
+    const std::vector<float> skipped = flat_grads(net);
+
+    ASSERT_EQ(full.size(), skipped.size());
+    EXPECT_GT(*std::max_element(full.begin(), full.end()), 0.0f);
+    EXPECT_EQ(std::memcmp(full.data(), skipped.data(), full.size() * sizeof(float)), 0)
+        << model_name(kind) << (backend == KernelBackend::kGemm ? " gemm" : " naive");
+  }
+  set_global_threads(1);
+}
+
+TEST(GemmNet, BackwardSkipsUnreadInputGradientMlp) {
+  expect_backward_matches_full_backward(ModelKind::kMlp);
+}
+
+TEST(GemmNet, BackwardSkipsUnreadInputGradientAlexNet) {
+  expect_backward_matches_full_backward(ModelKind::kAlexNetLite);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "common/check.h"
+#include "fl/gemm.h"
 
 namespace tradefl::fl {
 namespace {
@@ -232,6 +233,32 @@ TEST(LayersContract, Conv2DRejectsKernelLargerThanPaddedInput) {
   Conv2D conv(1, 1, /*kernel=*/5, /*stride=*/1, /*pad=*/0, /*groups=*/1, rng);
   Tensor tiny({1, 1, 2, 2});
   EXPECT_THROW(conv.forward(tiny, /*training=*/false), ContractViolation);
+}
+
+// Regression: Conv2D::backward never checked grad_output against the
+// forward's output shape, so a gradient with too few channels or samples made
+// the GEMM path read past the end of it. Both halves of the backward check the
+// shape, under either backend.
+void expect_conv_backward_rejects(const std::vector<std::size_t>& grad_shape) {
+  for (KernelBackend backend : {KernelBackend::kGemm, KernelBackend::kNaive}) {
+    set_kernel_backend(backend);
+    Rng rng(18);
+    Conv2D conv(/*in=*/2, /*out=*/4, /*kernel=*/3, /*stride=*/1, /*pad=*/1, /*groups=*/1, rng);
+    Rng values(19);
+    (void)conv.forward(random_tensor({2, 2, 5, 5}, values), /*training=*/true);
+    const Tensor bad = random_tensor(grad_shape, values);
+    EXPECT_THROW((void)conv.backward(bad), std::invalid_argument);
+    EXPECT_THROW(conv.backward_params(bad), std::invalid_argument);
+  }
+  set_kernel_backend(KernelBackend::kGemm);
+}
+
+TEST(LayersContract, Conv2DBackwardRejectsWrongChannelCount) {
+  expect_conv_backward_rejects({2, 2, 5, 5});  // the output has 4 channels
+}
+
+TEST(LayersContract, Conv2DBackwardRejectsWrongBatch) {
+  expect_conv_backward_rejects({1, 4, 5, 5});  // the forward saw 2 samples
 }
 
 }  // namespace

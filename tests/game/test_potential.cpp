@@ -84,25 +84,6 @@ TEST(Potential, GradientMatchesFiniteDifference) {
   }
 }
 
-TEST(Potential, HessianIsRankOneCurvature) {
-  const auto game = make_default_game(5);
-  auto profile = game.minimal_profile();
-  for (OrgId i = 0; i < game.size(); ++i) profile[i].data_fraction = 0.4;
-  const double h = 1e-5;
-  // Diagonal entry vs finite difference of the gradient.
-  auto up = profile;
-  auto down = profile;
-  up[0].data_fraction += h;
-  down[0].data_fraction -= h;
-  const double fd = (potential_gradient_d(game, up, 0) -
-                     potential_gradient_d(game, down, 0)) /
-                    (2.0 * h);
-  EXPECT_NEAR(potential_hessian_dd(game, profile, 0, 0), fd,
-              1e-3 * std::max(1.0, std::abs(fd)));
-  // Negative semidefinite rank-one structure: h_ij = P'' w_i w_j <= 0.
-  EXPECT_LE(potential_hessian_dd(game, profile, 0, 1), 0.0);
-}
-
 TEST(Potential, MaximizerBeatsNeighbors) {
   // At a potential maximizer found by enumerating a coarse grid, U is at
   // least as large as at neighboring profiles (sanity of the definition).
