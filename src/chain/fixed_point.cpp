@@ -51,7 +51,11 @@ std::string Fixed::to_string() const {
   std::string frac_digits = std::to_string(frac);
   frac_digits.insert(frac_digits.begin(), 9 - frac_digits.size(), '0');
   while (frac_digits.size() > 1 && frac_digits.back() == '0') frac_digits.pop_back();
-  return (negative ? "-" : "") + std::to_string(whole) + "." + frac_digits;
+  // Appended piece by piece: GCC 12 at -O3 inlines the operator+ chain and
+  // reports a false -Wrestrict overlap inside libstdc++.
+  std::string text = negative ? "-" : "";
+  text.append(std::to_string(whole)).append(".").append(frac_digits);
+  return text;
 }
 
 Fixed Fixed::operator+(Fixed other) const { return Fixed(checked_add(raw_, other.raw_)); }

@@ -75,6 +75,22 @@ double Rng::normal() {
   return radius * std::cos(theta);
 }
 
+void Rng::skip_normals(std::size_t count) {
+  if (count == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --count;
+  }
+  // Each full pair is normal()'s two uniform draws: u1 redrawn while it is
+  // zero (the top 53 bits of the raw draw), then u2.
+  for (std::size_t pair = 0; pair < count / 2; ++pair) {
+    while ((next_u64() >> 11) == 0) {
+    }
+    static_cast<void>(next_u64());
+  }
+  if (count % 2 == 1) static_cast<void>(normal());
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

@@ -41,6 +41,12 @@ class Rng {
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double stddev);
 
+  /// Advances the generator exactly as `count` calls to normal() would,
+  /// Box–Muller cache included, but evaluates the transform (log, sqrt,
+  /// sin/cos) only for a final odd draw, whose cached half the next normal()
+  /// returns. A skipped pair costs two raw draws.
+  void skip_normals(std::size_t count);
+
   /// Normal truncated to [lo, hi] by rejection (falls back to clamping after
   /// 64 rejected draws to stay total).
   double truncated_normal(double mean, double stddev, double lo, double hi);

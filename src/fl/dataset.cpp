@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/string_util.h"
+#include "obs/obs.h"
 
 namespace tradefl::fl {
 
@@ -73,9 +77,32 @@ DatasetSpec DatasetSpec::builtin(DatasetKind kind, std::uint64_t concept_seed,
   return spec;
 }
 
-Dataset::Dataset(DatasetSpec spec, std::size_t samples) : spec_(spec) {
+namespace {
+
+std::vector<std::size_t> all_indices(std::size_t samples) {
+  std::vector<std::size_t> indices(samples);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  return indices;
+}
+
+}  // namespace
+
+Dataset::Dataset(DatasetSpec spec, std::size_t samples)
+    : Dataset(std::move(spec), samples, all_indices(samples)) {}
+
+Dataset::Dataset(DatasetSpec spec, std::size_t samples, const std::vector<std::size_t>& stored)
+    : spec_(std::move(spec)), slots_(samples, kNotStored) {
   if (samples == 0) throw std::invalid_argument("dataset: need >= 1 sample");
   if (spec_.classes < 2) throw std::invalid_argument("dataset: need >= 2 classes");
+  for (std::size_t index : stored) {
+    if (index >= samples) throw std::out_of_range("dataset: stored index out of range");
+    slots_[index] = 0;
+  }
+  // Slots follow index order, so a run of stored indices is one run of slots.
+  std::size_t stored_count = 0;
+  for (std::size_t& slot : slots_) {
+    if (slot != kNotStored) slot = stored_count++;
+  }
   image_elements_ = spec_.channels * spec_.height * spec_.width;
 
   Rng rng(spec_.sample_seed ^ 0xA5A5A5A5DEADBEEFULL);
@@ -143,7 +170,9 @@ Dataset::Dataset(DatasetSpec spec, std::size_t samples) : spec_(spec) {
         std::lower_bound(cumulative.begin(), cumulative.end(), u) - cumulative.begin());
   };
 
-  images_.resize(samples * image_elements_);
+  // Every sample draws its class and label, so labels stay complete; an
+  // unstored image advances the stream past its pixel draws instead.
+  images_.resize(stored_count * image_elements_);
   labels_.resize(samples);
   for (std::size_t n = 0; n < samples; ++n) {
     const std::size_t cls = draw_class();
@@ -153,12 +182,27 @@ Dataset::Dataset(DatasetSpec spec, std::size_t samples) : spec_(spec) {
           rng.uniform_int(0, static_cast<std::int64_t>(spec_.classes) - 1));
     }
     labels_[n] = label;
-    float* image = images_.data() + n * image_elements_;
+    if (slots_[n] == kNotStored) {
+      rng.skip_normals(image_elements_);
+      continue;
+    }
+    float* image = images_.data() + slots_[n] * image_elements_;
     for (std::size_t i = 0; i < image_elements_; ++i) {
       image[i] = (templates[cls][i] + static_cast<float>(rng.normal(0.0, spec_.noise))) *
                  normalizer;
     }
   }
+  TFL_COUNTER_ADD("fl.dataset.stored", stored_count);
+  TFL_COUNTER_ADD("fl.dataset.skipped", samples - stored_count);
+}
+
+const float* Dataset::image(std::size_t index) const {
+  if (index >= size()) throw std::out_of_range("dataset: sample index out of range");
+  if (slots_[index] == kNotStored) {
+    throw std::out_of_range("dataset: image of sample " + std::to_string(index) +
+                            " is not stored");
+  }
+  return images_.data() + slots_[index] * image_elements_;
 }
 
 Tensor Dataset::batch(const std::vector<std::size_t>& indices) const {
@@ -169,11 +213,8 @@ Tensor Dataset::batch_span(const std::size_t* indices, std::size_t count) const 
   if (count == 0) throw std::invalid_argument("dataset: empty batch");
   Tensor out({count, spec_.channels, spec_.height, spec_.width});
   for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t index = indices[b];
-    if (index >= size()) throw std::out_of_range("dataset: sample index out of range");
-    const float* src = images_.data() + index * image_elements_;
-    float* dst = out.data() + b * image_elements_;
-    std::copy(src, src + image_elements_, dst);
+    const float* src = image(indices[b]);
+    std::copy(src, src + image_elements_, out.data() + b * image_elements_);
   }
   return out;
 }
@@ -181,9 +222,14 @@ Tensor Dataset::batch_span(const std::size_t* indices, std::size_t count) const 
 Tensor Dataset::batch_range(std::size_t start, std::size_t count) const {
   if (count == 0) throw std::invalid_argument("dataset: empty batch");
   if (start + count > size()) throw std::out_of_range("dataset: batch range out of range");
+  // Slots rise with the index, so the range is stored in full exactly when
+  // its last image sits count - 1 slots after its first.
+  const float* first = image(start);
+  if (image(start + count - 1) != first + (count - 1) * image_elements_) {
+    throw std::out_of_range("dataset: batch range includes unstored images");
+  }
   Tensor out({count, spec_.channels, spec_.height, spec_.width});
-  const float* src = images_.data() + start * image_elements_;
-  std::copy(src, src + count * image_elements_, out.data());
+  std::copy(first, first + count * image_elements_, out.data());
   return out;
 }
 
@@ -253,15 +299,15 @@ std::vector<double> dirichlet_class_weights(std::size_t classes, double alpha, R
   return weights;
 }
 
-std::vector<std::size_t> contributed_indices(const Dataset& dataset, double fraction,
+std::vector<std::size_t> contributed_indices(std::size_t samples, double fraction,
                                              std::uint64_t seed) {
-  if (fraction < 0.0 || fraction > 1.0) {
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {  // NaN too: lround(NaN) has no value
     throw std::invalid_argument("contributed_indices: fraction must be in [0, 1]");
   }
   Rng rng(seed);
-  std::vector<std::size_t> permutation = rng.permutation(dataset.size());
-  const std::size_t take = static_cast<std::size_t>(
-      std::lround(fraction * static_cast<double>(dataset.size())));
+  std::vector<std::size_t> permutation = rng.permutation(samples);
+  const std::size_t take =
+      static_cast<std::size_t>(std::lround(fraction * static_cast<double>(samples)));
   permutation.resize(std::max<std::size_t>(take, fraction > 0.0 ? 1 : 0));
   return permutation;
 }

@@ -64,11 +64,25 @@ struct DatasetSpec {
 };
 
 /// An in-memory labeled dataset with contiguous (n, c, h, w) images.
+///
+/// A dataset may store the images of only some of its samples: a FedClient's
+/// shard needs only the d_i |S_i| images it contributes. Such a dataset still
+/// has every label, and each stored image is bit-identical to the one a
+/// dataset storing everything holds, because generation walks the same
+/// random stream and skips the unstored pixels' draws (Rng::skip_normals).
+/// Reading an unstored image throws std::out_of_range.
 class Dataset {
  public:
+  /// Stores every sample's image.
   Dataset(DatasetSpec spec, std::size_t samples);
 
+  /// Stores only the images of the samples listed in `stored` (indices into
+  /// [0, samples); order and repeats do not matter). An index out of that
+  /// range throws std::out_of_range.
+  Dataset(DatasetSpec spec, std::size_t samples, const std::vector<std::size_t>& stored);
+
   [[nodiscard]] const DatasetSpec& spec() const { return spec_; }
+  /// Logical sample count, stored images or not.
   [[nodiscard]] std::size_t size() const { return labels_.size(); }
 
   /// Assembles a batch tensor from sample indices.
@@ -82,7 +96,8 @@ class Dataset {
   [[nodiscard]] Tensor batch_span(const std::size_t* indices, std::size_t count) const;
 
   /// One contiguous memcpy: samples [start, start + count) in storage order —
-  /// the evaluation fast path (no index vector, no per-sample copies).
+  /// the evaluation fast path (no index vector, no per-sample copies). Every
+  /// sample in the range must be stored.
   [[nodiscard]] Tensor batch_range(std::size_t start, std::size_t count) const;
 
   /// Fills `out` (resized to `count`) with the labels of an index span;
@@ -99,9 +114,16 @@ class Dataset {
   [[nodiscard]] std::vector<std::size_t> class_histogram() const;
 
  private:
+  static constexpr std::size_t kNotStored = static_cast<std::size_t>(-1);
+
+  /// First element of sample `index`'s image; throws when it is not stored.
+  [[nodiscard]] const float* image(std::size_t index) const;
+
   DatasetSpec spec_;
-  std::vector<float> images_;  // samples * c * h * w
+  std::vector<float> images_;  // stored samples * c * h * w, in index order
   std::vector<std::size_t> labels_;
+  /// Sample index -> image slot in images_, kNotStored when it was skipped.
+  std::vector<std::size_t> slots_;
   std::size_t image_elements_ = 0;
 };
 
@@ -110,9 +132,11 @@ class Dataset {
 std::vector<double> dirichlet_class_weights(std::size_t classes, double alpha, Rng& rng);
 
 /// Splits a client's local indices: the first `fraction` of a seeded
-/// permutation of [0, dataset.size()) — how organization i selects its
-/// d_i · |S_i| training subset (Sec. III-B phase 2).
-std::vector<std::size_t> contributed_indices(const Dataset& dataset, double fraction,
+/// permutation of [0, samples) — how organization i selects its
+/// d_i · |S_i| training subset (Sec. III-B phase 2). A pure function of its
+/// arguments, so a shard can be built storing exactly this subset before
+/// training derives it again.
+std::vector<std::size_t> contributed_indices(std::size_t samples, double fraction,
                                              std::uint64_t seed);
 
 }  // namespace tradefl::fl

@@ -183,7 +183,7 @@ FedAsyncResult train_fedasync(const ModelSpec& model_spec,
       throw std::invalid_argument("fedasync: round_latency must be > 0");
     }
     if (client.fraction > 0.0) {
-      subsets[c] = contributed_indices(*client.data, client.fraction, client.seed);
+      subsets[c] = contributed_indices(client.data->size(), client.fraction, client.seed);
     }
     if (!subsets[c].empty()) ++contributors;
   }

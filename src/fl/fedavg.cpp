@@ -277,7 +277,8 @@ FedAvgResult train_fedavg(const ModelSpec& model_spec, const std::vector<FedClie
   for (std::size_t c = 0; c < clients.size(); ++c) {
     if (clients[c].data == nullptr) throw std::invalid_argument("fedavg: null client dataset");
     if (clients[c].fraction > 0.0) {
-      subsets[c] = contributed_indices(*clients[c].data, clients[c].fraction, clients[c].seed);
+      subsets[c] = contributed_indices(clients[c].data->size(), clients[c].fraction,
+                                       clients[c].seed);
     }
     result.total_contributed_samples += subsets[c].size();
   }

@@ -62,7 +62,9 @@ struct FedAvgOptions {
 };
 
 /// One organization's training view: a pointer to its local dataset and the
-/// contributed fraction d_i of it.
+/// contributed fraction d_i of it. Training reads only the images of
+/// contributed_indices(data->size(), fraction, seed), so the dataset may
+/// store just those (see Dataset).
 struct FedClient {
   const Dataset* data = nullptr;
   double fraction = 1.0;       // d_i

@@ -45,8 +45,9 @@ PersonalizeResult personalize(const ModelSpec& model_spec, const FedAvgResult& f
     const FedClient& client = clients[c];
     if (client.data == nullptr) throw std::invalid_argument("personalize: null client data");
     const std::vector<std::size_t> subset =
-        client.fraction > 0.0 ? contributed_indices(*client.data, client.fraction, client.seed)
-                              : std::vector<std::size_t>{};
+        client.fraction > 0.0
+            ? contributed_indices(client.data->size(), client.fraction, client.seed)
+            : std::vector<std::size_t>{};
 
     worker.set_weights(federated.final_weights);
     if (!subset.empty()) {

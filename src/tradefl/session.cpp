@@ -338,20 +338,27 @@ SessionResult TradingSession::run(const SessionOptions& options) {
         const fl::DatasetSpec concept_spec =
             fl::DatasetSpec::builtin(options.dataset, options.seed);
         std::vector<fl::Dataset> locals;
-        locals.reserve(n);
+        locals.reserve(n);  // clients point into it
         std::vector<fl::FedClient> clients;
-        for (game::OrgId i = 0; i < n; ++i) {
-          const std::size_t samples = std::max<std::size_t>(
-              8, static_cast<std::size_t>(std::lround(
-                     options.sample_scale * static_cast<double>(game.org(i).sample_count))));
-          locals.emplace_back(concept_spec.with_sample_seed(options.seed + i + 1), samples);
-        }
-        for (game::OrgId i = 0; i < n; ++i) {
-          clients.push_back(fl::FedClient{&locals[i], profile[i].data_fraction,
-                                          options.seed * 131 + i});
-        }
-        const fl::Dataset test_set(concept_spec.with_sample_seed(options.seed + 7777),
-                                   options.test_samples);
+        const fl::Dataset test_set = [&] {
+          TFL_SPAN("session.materialize");
+          TFL_LEDGER_PHASE("session.materialize");
+          // Each shard stores only the images FedAvg will read: the subset
+          // train_fedavg derives from the same (size, d_i, seed).
+          for (game::OrgId i = 0; i < n; ++i) {
+            const std::size_t samples = std::max<std::size_t>(
+                8, static_cast<std::size_t>(std::lround(
+                       options.sample_scale * static_cast<double>(game.org(i).sample_count))));
+            const double fraction = profile[i].data_fraction;
+            const std::uint64_t seed = options.seed * 131 + i;
+            locals.emplace_back(concept_spec.with_sample_seed(options.seed + i + 1), samples,
+                                fraction > 0.0 ? fl::contributed_indices(samples, fraction, seed)
+                                               : std::vector<std::size_t>{});
+            clients.push_back(fl::FedClient{&locals.back(), fraction, seed});
+          }
+          return fl::Dataset(concept_spec.with_sample_seed(options.seed + 7777),
+                             options.test_samples);
+        }();
         fl::ModelSpec model_spec;
         model_spec.kind = options.model;
         model_spec.channels = concept_spec.channels;

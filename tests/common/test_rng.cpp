@@ -215,5 +215,31 @@ TEST(Rng, RestoreClearsBoxMullerCache) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.normal(), resumed.normal()) << "draw " << i;
 }
 
+TEST(Rng, SkipNormalsAdvancesLikeNormalCalls) {
+  // Dataset generation skips an unstored image with skip_normals, so it must
+  // leave the generator exactly where `count` normal() calls would: the same
+  // state words and the same Box–Muller cache. State {1, 0, 0, 0} makes the
+  // first raw draw 0, so u1 = 0 and the rejection path runs too.
+  Rng zero_first(0);
+  zero_first.restore({1, 0, 0, 0});
+  for (const Rng& start : {Rng(4242), zero_first}) {
+    for (bool cached : {false, true}) {
+      for (std::size_t count = 0; count <= 7; ++count) {
+        Rng drawn = start;
+        Rng skipped = start;
+        if (cached) {
+          static_cast<void>(drawn.normal());
+          static_cast<void>(skipped.normal());
+        }
+        for (std::size_t i = 0; i < count; ++i) static_cast<void>(drawn.normal());
+        skipped.skip_normals(count);
+        EXPECT_EQ(drawn.state(), skipped.state()) << "count " << count << " cached " << cached;
+        EXPECT_EQ(drawn.normal(), skipped.normal()) << "count " << count << " cached " << cached;
+        EXPECT_EQ(drawn.state(), skipped.state()) << "count " << count << " cached " << cached;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tradefl

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/stopwatch.h"
 
 namespace tradefl::fl {
 namespace {
@@ -91,24 +98,22 @@ TEST(Dataset, SizeScaleShrinksImages) {
 }
 
 TEST(ContributedIndices, FractionControlsCount) {
-  Dataset data(DatasetSpec::builtin(DatasetKind::kFmnistLike, 2), 100);
-  EXPECT_EQ(contributed_indices(data, 1.0, 7).size(), 100u);
-  EXPECT_EQ(contributed_indices(data, 0.25, 7).size(), 25u);
-  EXPECT_TRUE(contributed_indices(data, 0.0, 7).empty());
+  EXPECT_EQ(contributed_indices(100, 1.0, 7).size(), 100u);
+  EXPECT_EQ(contributed_indices(100, 0.25, 7).size(), 25u);
+  EXPECT_TRUE(contributed_indices(100, 0.0, 7).empty());
   // Tiny positive fraction still contributes at least one sample.
-  EXPECT_EQ(contributed_indices(data, 0.001, 7).size(), 1u);
+  EXPECT_EQ(contributed_indices(100, 0.001, 7).size(), 1u);
 }
 
 TEST(ContributedIndices, DeterministicPerSeedAndDistinctAcrossSeeds) {
-  Dataset data(DatasetSpec::builtin(DatasetKind::kFmnistLike, 2), 100);
-  EXPECT_EQ(contributed_indices(data, 0.5, 7), contributed_indices(data, 0.5, 7));
-  EXPECT_NE(contributed_indices(data, 0.5, 7), contributed_indices(data, 0.5, 8));
+  EXPECT_EQ(contributed_indices(100, 0.5, 7), contributed_indices(100, 0.5, 7));
+  EXPECT_NE(contributed_indices(100, 0.5, 7), contributed_indices(100, 0.5, 8));
 }
 
 TEST(ContributedIndices, RejectsBadFraction) {
-  Dataset data(DatasetSpec::builtin(DatasetKind::kFmnistLike, 2), 10);
-  EXPECT_THROW(contributed_indices(data, -0.1, 7), std::invalid_argument);
-  EXPECT_THROW(contributed_indices(data, 1.1, 7), std::invalid_argument);
+  EXPECT_THROW(contributed_indices(10, -0.1, 7), std::invalid_argument);
+  EXPECT_THROW(contributed_indices(10, 1.1, 7), std::invalid_argument);
+  EXPECT_THROW(contributed_indices(10, std::nan(""), 7), std::invalid_argument);
 }
 
 TEST(Dataset, LabelNoiseFlipsSomeLabels) {
@@ -125,6 +130,105 @@ TEST(Dataset, LabelNoiseFlipsSomeLabels) {
   std::size_t total = 0;
   for (std::size_t count : histogram) total += count;
   EXPECT_EQ(total, 500u);
+}
+
+/// A dataset storing `fraction` of its images must hold every label of the
+/// dataset storing all of them, and each stored image bit for bit.
+void expect_subset_matches_full(const DatasetSpec& spec, double fraction) {
+  constexpr std::size_t kSamples = 240;
+  const Dataset full(spec, kSamples);
+  const std::vector<std::size_t> stored = contributed_indices(kSamples, fraction, 17);
+  const Dataset subset(spec, kSamples, stored);
+  const std::string where = std::string(dataset_name(spec.kind)) + " " +
+                            std::to_string(spec.height) + "x" + std::to_string(spec.width) +
+                            " label_noise " + std::to_string(spec.label_noise) +
+                            (spec.class_weights.empty() ? "" : " weighted") + " fraction " +
+                            std::to_string(fraction);
+  ASSERT_EQ(subset.size(), kSamples) << where;
+  ASSERT_EQ(subset.labels(), full.labels()) << where;
+  for (std::size_t index : stored) {
+    const Tensor expected = full.batch_span(&index, 1);
+    const Tensor actual = subset.batch_span(&index, 1);
+    ASSERT_EQ(std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(float)), 0)
+        << where << ": image " << index;
+  }
+  if (stored.size() == kSamples) {
+    const Tensor expected = full.batch_range(0, kSamples);
+    const Tensor actual = subset.batch_range(0, kSamples);
+    EXPECT_EQ(std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(float)), 0)
+        << where << ": batch_range";
+  }
+}
+
+TEST(Dataset, StoredSubsetMatchesFullBitForBit) {
+  // At size_scale 0.4 an image is 5x5 per channel, an odd pixel count, so
+  // one Box–Muller pair spans two samples and a skip must carry the cache.
+  for (DatasetKind kind : {DatasetKind::kCifar10Like, DatasetKind::kFmnistLike,
+                           DatasetKind::kSvhnLike, DatasetKind::kEurosatLike}) {
+    for (double scale : {1.0, 0.4}) {
+      const DatasetSpec base = DatasetSpec::builtin(kind, 21, scale).with_sample_seed(22);
+      DatasetSpec noisy = base;
+      noisy.label_noise = 0.3;
+      Rng weights_rng(23);
+      const DatasetSpec skewed =
+          base.with_class_weights(dirichlet_class_weights(base.classes, 0.5, weights_rng));
+      for (const DatasetSpec& spec : {base, noisy, skewed}) {
+        for (double fraction : {0.0, 0.001, 0.17, 1.0}) {
+          expect_subset_matches_full(spec, fraction);
+        }
+      }
+    }
+  }
+}
+
+TEST(Dataset, UnstoredImageReadsThrowOutOfRange) {
+  const DatasetSpec spec = DatasetSpec::builtin(DatasetKind::kFmnistLike, 3);
+  const Dataset data(spec, 10, {7, 3, 2, 4, 3});
+  EXPECT_EQ(data.size(), 10u);
+  EXPECT_EQ(data.class_histogram().size(), spec.classes);
+  EXPECT_NO_THROW(static_cast<void>(data.label(5)));  // labels stay complete
+  EXPECT_NO_THROW(static_cast<void>(data.batch({7, 2})));
+  EXPECT_THROW(static_cast<void>(data.batch({2, 5})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(data.batch({10})), std::out_of_range);
+  EXPECT_NO_THROW(static_cast<void>(data.batch_range(2, 3)));
+  EXPECT_THROW(static_cast<void>(data.batch_range(1, 2)), std::out_of_range);  // 1 unstored
+  EXPECT_THROW(static_cast<void>(data.batch_range(2, 4)), std::out_of_range);  // 5 unstored
+  EXPECT_THROW(static_cast<void>(data.batch_range(3, 5)), std::out_of_range);  // 5, 6 unstored
+  const Dataset empty(spec, 10, {});
+  EXPECT_THROW(static_cast<void>(empty.batch_range(0, 1)), std::out_of_range);
+}
+
+TEST(Dataset, StoredIndexOutOfRangeThrows) {
+  const DatasetSpec spec = DatasetSpec::builtin(DatasetKind::kFmnistLike, 3);
+  EXPECT_THROW(Dataset(spec, 10, {3, 10}), std::out_of_range);
+}
+
+// The skip path's guard: a 1,500-sample FMNIST shard storing the 17% its
+// client contributes must build in at most 0.4x the time of storing all of
+// it. Both builds run interleaved in this process, so the ratio does not
+// depend on how fast the host is.
+TEST(DatasetSkip, ContributedSubsetBuildsInUnderFortyPercentOfFullTime) {
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "times dataset generation: needs an optimized build without sanitizers";
+#else
+  constexpr std::size_t kSamples = 1500;
+  constexpr int kRuns = 7;
+  const DatasetSpec spec = DatasetSpec::builtin(DatasetKind::kFmnistLike, 42).with_sample_seed(43);
+  const std::vector<std::size_t> stored = contributed_indices(kSamples, 0.17, 5);
+  double best_full = std::numeric_limits<double>::infinity();
+  double best_subset = best_full;
+  for (int run = 0; run < kRuns; ++run) {
+    Stopwatch watch;
+    { const Dataset full(spec, kSamples); }
+    best_full = std::min(best_full, watch.elapsed_seconds());
+    watch.reset();
+    { const Dataset subset(spec, kSamples, stored); }
+    best_subset = std::min(best_subset, watch.elapsed_seconds());
+  }
+  EXPECT_LE(best_subset / best_full, 0.4)
+      << best_subset * 1e3 << " ms storing " << stored.size() << " images vs " << best_full * 1e3
+      << " ms storing " << kSamples;
+#endif
 }
 
 }  // namespace

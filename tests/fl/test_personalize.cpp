@@ -67,7 +67,7 @@ TEST(Personalize, ImprovesLocalFit) {
   // Global model's accuracy on client 0's local subset:
   Net global = build_model(fixture.model);
   global.set_weights(federated.final_weights);
-  const auto subset = contributed_indices(fixture.locals[0], 1.0, 100);
+  const auto subset = contributed_indices(fixture.locals[0].size(), 1.0, 100);
   std::size_t correct = 0;
   for (std::size_t start = 0; start < subset.size(); start += 64) {
     const std::size_t end = std::min(subset.size(), start + 64);

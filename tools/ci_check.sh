@@ -22,10 +22,11 @@
 #      skipped with a notice when clang-tidy is not installed
 #   6. tracing-off build (TRADEFL_ENABLE_TRACING=OFF) proving the
 #      instrumentation macros compile away cleanly
-#   6b. release kernel stage: a Release (-O3) build of test_fl running the
-#      Gemm and Net suites, because at -O3 GCC vectorizes scalar loops on its
-#      own; the bit-exact kernel oracle, the vectorization guard and the
-#      params-only Net backward must hold there too
+#   6b. release kernel stage: a Release (-O3) build of test_fl with
+#      warnings-as-errors, running the Gemm and Net suites and the dataset
+#      skip guard, because at -O3 GCC vectorizes scalar loops on its own; the
+#      bit-exact kernel oracle, the vectorization guard and the params-only
+#      Net backward must hold there too
 #   7. ASan+UBSan build of the same suite, zero reports tolerated
 #   8. TSan build of the concurrency suites (ThreadPool/Parallel/Gemm/Metrics/
 #      Chaos); tfl-bench-diff stays outside the filter — it is single-threaded
@@ -200,12 +201,10 @@ cmake --build build-notrace -j "$jobs"
 ctest --test-dir build-notrace --output-on-failure -j "$jobs"
 
 echo "=== ci: release (-O3) kernel stage ==="
-# Warnings stay warnings here: at -O3 GCC 12 reports a false -Wrestrict inside
-# libstdc++'s std::string (src/chain/fixed_point.cpp), which -O2 does not.
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DTRADEFL_BUILD_TESTS=ON \
-      -DTRADEFL_BUILD_BENCH=OFF -DTRADEFL_BUILD_EXAMPLES=OFF
+      -DTRADEFL_WARNINGS_AS_ERRORS=ON -DTRADEFL_BUILD_BENCH=OFF -DTRADEFL_BUILD_EXAMPLES=OFF
 cmake --build build-release -j "$jobs" --target test_fl
-ctest --test-dir build-release --output-on-failure -j "$jobs" -R 'Gemm|Net'
+ctest --test-dir build-release --output-on-failure -j "$jobs" -R 'Gemm|Net|DatasetSkip'
 
 if [ "$run_sanitizers" -eq 1 ]; then
   echo "=== ci: sanitizer pass ==="
