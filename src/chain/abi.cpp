@@ -29,7 +29,7 @@ void encode_value(ByteWriter& writer, const AbiValue& value) {
     writer.put_string(*s);
   } else if (const auto* a = std::get_if<Address>(&value)) {
     writer.put_u8(static_cast<std::uint8_t>(Tag::kAddress));
-    writer.put_bytes(Bytes(a->bytes.begin(), a->bytes.end()));
+    writer(*a);
   } else if (const auto* b = std::get_if<Bytes>(&value)) {
     writer.put_u8(static_cast<std::uint8_t>(Tag::kBytes));
     writer.put_bytes(*b);
@@ -48,10 +48,8 @@ AbiValue decode_value(ByteReader& reader) {
     case Tag::kI64: return reader.get_i64();
     case Tag::kString: return reader.get_string();
     case Tag::kAddress: {
-      const Bytes raw = reader.get_bytes();
-      if (raw.size() != 20) throw std::invalid_argument("abi: bad address length");
       Address address;
-      std::copy(raw.begin(), raw.end(), address.bytes.begin());
+      reader(address);
       return address;
     }
     case Tag::kBytes: return reader.get_bytes();

@@ -6,10 +6,7 @@ namespace tradefl::chain {
 
 Bytes BlockHeader::serialize() const {
   ByteWriter writer;
-  writer.put_u64(index);
-  writer.put_u64(timestamp);
-  writer.put_bytes(Bytes(prev_hash.begin(), prev_hash.end()));
-  writer.put_bytes(Bytes(tx_root.begin(), tx_root.end()));
+  writer(*this);
   return writer.data();
 }
 

@@ -18,9 +18,15 @@ struct BlockHeader {
   Hash256 prev_hash{};
   Hash256 tx_root{};
 
+  /// The fields() bytes, which hash() digests.
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] Hash256 hash() const;
 };
+
+template <class Ar>
+void fields(Ar& ar, BlockHeader& header) {
+  ar(header.index, header.timestamp, fixed_bytes(header.prev_hash), fixed_bytes(header.tx_root));
+}
 
 struct Block {
   BlockHeader header;
@@ -39,6 +45,12 @@ struct Block {
   /// True when header.tx_root matches the transactions.
   [[nodiscard]] bool verify_tx_root() const;
 };
+
+/// A block record: the WAL frames it, the ledger nests it as a blob.
+template <class Ar>
+void fields(Ar& ar, Block& block) {
+  ar(block.header, block.transactions);
+}
 
 /// Merkle inclusion proof: the sibling hashes from a transaction leaf up to
 /// the root. Lets an arbitrator verify "this exact transaction is in that

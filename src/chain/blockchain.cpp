@@ -28,70 +28,41 @@ constexpr std::uint32_t kChainSnapshotVersion = 1;
 
 using BalanceJournal = MapUndoJournal<std::map<Address, Wei>>;
 
-void put_fixed(ByteWriter& writer, const std::uint8_t* data, std::size_t size) {
-  writer.put_bytes(Bytes(data, data + size));
-}
-
-Hash256 get_hash(ByteReader& reader) {
-  const Bytes raw = reader.get_bytes();
-  if (raw.size() != 32) throw std::invalid_argument("chain: hash field is not 32 bytes");
-  Hash256 hash{};
-  std::copy(raw.begin(), raw.end(), hash.begin());
-  return hash;
-}
-
-Address get_address(ByteReader& reader) {
-  const Bytes raw = reader.get_bytes();
-  if (raw.size() != 20) throw std::invalid_argument("chain: address field is not 20 bytes");
-  Address address{};
-  std::copy(raw.begin(), raw.end(), address.bytes.begin());
-  return address;
-}
-
-void put_tx(ByteWriter& writer, const Transaction& tx) {
-  put_fixed(writer, tx.from.bytes.data(), tx.from.bytes.size());
-  put_fixed(writer, tx.to.bytes.data(), tx.to.bytes.size());
-  writer.put_i64(tx.value);
-  writer.put_u64(tx.nonce);
-  writer.put_bytes(tx.data);
-  writer.put_u64(tx.gas_limit);
-  writer.put_i64(tx.fee);
-}
-
-Transaction get_tx(ByteReader& reader) {
-  Transaction tx;
-  tx.from = get_address(reader);
-  tx.to = get_address(reader);
-  tx.value = reader.get_i64();
-  tx.nonce = reader.get_u64();
-  tx.data = reader.get_bytes();
-  tx.gas_limit = reader.get_u64();
-  tx.fee = reader.get_i64();
-  return tx;
-}
-
 Bytes serialize_block(const Block& block) {
   ByteWriter writer;
-  writer.put_u64(block.header.index);
-  writer.put_u64(block.header.timestamp);
-  put_fixed(writer, block.header.prev_hash.data(), block.header.prev_hash.size());
-  put_fixed(writer, block.header.tx_root.data(), block.header.tx_root.size());
-  writer.put_u64(block.transactions.size());
-  for (const Transaction& tx : block.transactions) put_tx(writer, tx);
+  writer(block);
   return writer.data();
 }
 
 Block decode_block(const Bytes& payload) {
   ByteReader reader(payload);
   Block block;
-  block.header.index = reader.get_u64();
-  block.header.timestamp = reader.get_u64();
-  block.header.prev_hash = get_hash(reader);
-  block.header.tx_root = get_hash(reader);
-  const std::uint64_t tx_count = reader.get_u64();
-  for (std::uint64_t i = 0; i < tx_count; ++i) block.transactions.push_back(get_tx(reader));
+  reader(block);
   if (!reader.exhausted()) throw std::invalid_argument("chain: trailing bytes in block record");
   return block;
+}
+
+/// What save_chain_state persists: the chain minus its derived indexes and
+/// the unsealed mempool. Contracts travel as (factory name, save_state
+/// bytes) and blocks as serialize_block blobs. Saving points the references
+/// at the chain's own members, so nothing is copied; a restore points them
+/// at locals and decodes all of it before it instantiates a contract or
+/// touches the chain.
+struct ChainState {
+  std::map<Address, Wei>& balances;
+  std::map<Address, std::pair<std::string, Bytes>>& contracts;
+  std::map<Address, std::uint64_t>& nonces;
+  std::vector<Bytes>& blocks;
+  std::vector<Receipt>& receipts;
+  std::vector<Event>& events;
+  std::uint64_t& deploy_nonce;
+  std::uint64_t& logical_clock;
+};
+
+template <class Ar>
+void fields(Ar& ar, ChainState& state) {
+  ar(state.balances, state.contracts, state.nonces, state.blocks, state.receipts, state.events,
+     state.deploy_nonce, state.logical_clock);
 }
 
 void append_u32_le(Bytes& out, std::uint32_t value) {
@@ -479,44 +450,20 @@ ChainValidation Blockchain::validate() const {
 // ----- durability -----
 
 Bytes Blockchain::save_chain_state() const {
-  ByteWriter writer;
-  writer.put_u32(kChainStateVersion);
-  writer.put_u64(balances_.size());
-  for (const auto& [address, amount] : balances_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_i64(amount);
-  }
-  writer.put_u64(contracts_.size());
+  std::map<Address, std::pair<std::string, Bytes>> contracts;
   for (const auto& [address, contract] : contracts_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_string(contract->contract_name());
-    writer.put_bytes(contract->save_state());
+    contracts.emplace(address, std::pair(contract->contract_name(), contract->save_state()));
   }
-  writer.put_u64(nonces_.size());
-  for (const auto& [address, nonce] : nonces_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_u64(nonce);
-  }
-  writer.put_u64(blocks_.size());
-  for (const Block& block : blocks_) writer.put_bytes(serialize_block(block));
-  writer.put_u64(receipts_.size());
-  for (const Receipt& receipt : receipts_) {
-    put_fixed(writer, receipt.tx_hash.data(), receipt.tx_hash.size());
-    writer.put_u8(receipt.success ? 1 : 0);
-    writer.put_string(receipt.revert_reason);
-    writer.put_u64(receipt.gas_used);
-    writer.put_bytes(receipt.return_data);
-    writer.put_u64(receipt.block_index);
-  }
-  writer.put_u64(events_.size());
-  for (const Event& event : events_) {
-    put_fixed(writer, event.contract.bytes.data(), event.contract.bytes.size());
-    writer.put_string(event.name);
-    writer.put_bytes(encode_values(event.fields));
-    writer.put_u64(event.block_index);
-  }
-  writer.put_u64(deploy_nonce_);
-  writer.put_u64(logical_clock_);
+  std::vector<Bytes> blocks;
+  blocks.reserve(blocks_.size());
+  for (const Block& block : blocks_) blocks.push_back(serialize_block(block));
+  // The writer only reads through the references.
+  auto& chain = const_cast<Blockchain&>(*this);
+  const ChainState state{chain.balances_, contracts,     chain.nonces_,
+                         blocks,          chain.receipts_, chain.events_,
+                         chain.deploy_nonce_, chain.logical_clock_};
+  ByteWriter writer;
+  writer(kChainStateVersion, state);
   return writer.data();
 }
 
@@ -524,71 +471,40 @@ Status Blockchain::restore_chain_state(const Bytes& bytes, const ContractFactory
   // Decode into locals first: a malformed payload must leave this chain
   // exactly as it was (fail closed, never partial state).
   std::map<Address, Wei> balances;
-  std::map<Address, ContractPtr> contracts;
+  std::map<Address, std::pair<std::string, Bytes>> stored_contracts;
   std::map<Address, std::uint64_t> nonces;
-  std::vector<Block> blocks;
+  std::vector<Bytes> block_records;
   std::vector<Receipt> receipts;
   std::vector<Event> events;
   std::uint64_t deploy_nonce = 0;
   std::uint64_t logical_clock = 0;
+  ChainState state{balances, stored_contracts, nonces,       block_records,
+                   receipts, events,           deploy_nonce, logical_clock};
+  std::map<Address, ContractPtr> contracts;
+  std::vector<Block> blocks;
   try {
     ByteReader reader(bytes);
-    const std::uint32_t version = reader.get_u32();
+    std::uint32_t version = 0;
+    reader(version);
     if (version != kChainStateVersion) {
       return Error{"chain.snapshot", "unsupported chain state version " +
                                          std::to_string(version)};
     }
-    const std::uint64_t balance_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < balance_count; ++i) {
-      const Address address = get_address(reader);
-      balances[address] = reader.get_i64();
+    reader(state);
+    if (!reader.exhausted()) {
+      return Error{"chain.snapshot", "trailing bytes after chain state"};
     }
-    const std::uint64_t contract_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < contract_count; ++i) {
-      const Address address = get_address(reader);
-      const std::string name = reader.get_string();
-      const Bytes state = reader.get_bytes();
+    if (block_records.empty()) return Error{"chain.snapshot", "chain state holds no blocks"};
+    blocks.reserve(block_records.size());
+    for (const Bytes& record : block_records) blocks.push_back(decode_block(record));
+    for (const auto& [address, stored] : stored_contracts) {
+      const auto& [name, contract_state] = stored;
       ContractPtr contract = factory ? factory(name) : nullptr;
       if (!contract) {
         return Error{"chain.snapshot", "no factory for contract '" + name + "'"};
       }
-      contract->load_state(state);
+      contract->load_state(contract_state);
       contracts[address] = std::move(contract);
-    }
-    const std::uint64_t nonce_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < nonce_count; ++i) {
-      const Address address = get_address(reader);
-      nonces[address] = reader.get_u64();
-    }
-    const std::uint64_t block_count = reader.get_u64();
-    if (block_count == 0) return Error{"chain.snapshot", "chain state holds no blocks"};
-    for (std::uint64_t i = 0; i < block_count; ++i) {
-      blocks.push_back(decode_block(reader.get_bytes()));
-    }
-    const std::uint64_t receipt_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < receipt_count; ++i) {
-      Receipt receipt;
-      receipt.tx_hash = get_hash(reader);
-      receipt.success = reader.get_u8() == 1;
-      receipt.revert_reason = reader.get_string();
-      receipt.gas_used = reader.get_u64();
-      receipt.return_data = reader.get_bytes();
-      receipt.block_index = reader.get_u64();
-      receipts.push_back(std::move(receipt));
-    }
-    const std::uint64_t event_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < event_count; ++i) {
-      Event event;
-      event.contract = get_address(reader);
-      event.name = reader.get_string();
-      event.fields = decode_values(reader.get_bytes());
-      event.block_index = reader.get_u64();
-      events.push_back(std::move(event));
-    }
-    deploy_nonce = reader.get_u64();
-    logical_clock = reader.get_u64();
-    if (!reader.exhausted()) {
-      return Error{"chain.snapshot", "trailing bytes after chain state"};
     }
   } catch (const std::exception& error) {
     return Error{"chain.snapshot", std::string("malformed chain state: ") + error.what()};
@@ -689,21 +605,11 @@ Result<WalReplay> Blockchain::replay_wal(const std::string& path) {
   return report;
 }
 
-namespace {
-
-/// Snapshot payload codec: one length-prefixed chain-state blob. Mirrors the
-/// decode lambda in snapshot_sync exactly.
-SnapshotWriter encode_chain_snapshot(const Bytes& state) {
-  SnapshotWriter writer;
-  writer.put_bytes(state);
-  return writer;
-}
-
-}  // namespace
-
 Status Blockchain::save_snapshot(const std::string& path) const {
-  auto written = write_snapshot_file(path, kChainSnapshotKind, kChainSnapshotVersion,
-                                     encode_chain_snapshot(save_chain_state()));
+  // The snapshot payload is the chain-state blob, length-prefixed.
+  SnapshotWriter writer;
+  writer(save_chain_state());
+  auto written = write_snapshot_file(path, kChainSnapshotKind, kChainSnapshotVersion, writer);
   if (!written.ok()) return written.error();
   TFL_COUNTER_INC("snapshot.writes");
   TFL_COUNTER_ADD("snapshot.bytes", written.value());
@@ -723,8 +629,11 @@ Result<WalReplay> Blockchain::snapshot_sync(const std::string& snapshot_path,
   }
   auto payload = read_snapshot_file(snapshot_path, kChainSnapshotKind, kChainSnapshotVersion);
   if (!payload.ok()) return payload.error();
-  auto state = decode_snapshot<Bytes>(payload.value(),
-                                      [](SnapshotReader& reader) { return reader.get_bytes(); });
+  auto state = decode_snapshot<Bytes>(payload.value(), [](SnapshotReader& reader) {
+    Bytes blob;
+    reader(blob);
+    return blob;
+  });
   if (!state.ok()) return state.error();
   const Status restored = restore_chain_state(state.value(), factory);
   if (!restored.ok()) return restored.error();

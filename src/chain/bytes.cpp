@@ -70,7 +70,11 @@ void ByteWriter::put_string(const std::string& value) {
 }
 
 void ByteReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size()) throw std::out_of_range("ByteReader: truncated payload");
+  if (count > remaining()) throw std::out_of_range("ByteReader: truncated payload");
+}
+
+void ByteReader::fail(const std::string& message) {
+  throw std::invalid_argument("ByteReader: " + message);
 }
 
 std::uint8_t ByteReader::get_u8() {
@@ -94,18 +98,22 @@ std::uint64_t ByteReader::get_u64() {
 
 std::int64_t ByteReader::get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
-Bytes ByteReader::get_bytes() {
+std::pair<const std::uint8_t*, std::size_t> ByteReader::take_blob() {
   const std::uint32_t size = get_u32();
   require(size);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset_ + size));
+  const std::uint8_t* start = data_.data() + offset_;
   offset_ += size;
-  return out;
+  return {start, size};
+}
+
+Bytes ByteReader::get_bytes() {
+  const auto [start, size] = take_blob();
+  return Bytes(start, start + size);
 }
 
 std::string ByteReader::get_string() {
-  const Bytes raw = get_bytes();
-  return std::string(raw.begin(), raw.end());
+  const auto [start, size] = take_blob();
+  return std::string(reinterpret_cast<const char*>(start), size);
 }
 
 }  // namespace tradefl::chain

@@ -1,11 +1,14 @@
-// Byte-buffer helpers shared by the chain substrate: hex encoding and a
-// little-endian serializer used for transaction/block hashing and ABI
-// payloads.
+// Byte-buffer helpers shared by the chain substrate: hex encoding and the
+// chain archive, the little-endian serializer behind transaction/block
+// hashing, the WAL, the ledger and contract state, and ABI payloads.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/snapshot.h"
 
 namespace tradefl::chain {
 
@@ -14,8 +17,11 @@ using Bytes = std::vector<std::uint8_t>;
 std::string to_hex(const Bytes& bytes);
 Bytes from_hex(const std::string& hex);  // throws std::invalid_argument on bad input
 
-/// Appends fixed-width little-endian integers / length-prefixed blobs.
-class ByteWriter {
+/// The chain archive's writer (see common/snapshot.h for the fields()
+/// convention): fixed-width little-endian integers, u32 length prefixes for
+/// blobs and strings, u64 container counts. The put_* primitives stay public
+/// for the ABI's tag-dispatched value codec.
+class ByteWriter : public ArchiveWriter<ByteWriter> {
  public:
   void put_u8(std::uint8_t value);
   void put_u32(std::uint32_t value);
@@ -31,12 +37,17 @@ class ByteWriter {
   [[nodiscard]] const Bytes& data() const { return buffer_; }
 
  private:
+  friend class ArchiveWriter<ByteWriter>;
+  void put_blob(const std::uint8_t* value, std::size_t size) { put_bytes(value, size); }
+
   Bytes buffer_;
 };
 
 /// Mirror image of ByteWriter; throws std::out_of_range when reading past
-/// the end (malformed payload).
-class ByteReader {
+/// the end and std::invalid_argument on a malformed field (an oversized
+/// count, a bool or enum out of range, a fixed-size field of the wrong
+/// length).
+class ByteReader : public ArchiveReader<ByteReader> {
  public:
   explicit ByteReader(const Bytes& data) : data_(data) {}
 
@@ -47,10 +58,15 @@ class ByteReader {
   Bytes get_bytes();
   std::string get_string();
 
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - offset_; }
   [[nodiscard]] bool exhausted() const { return offset_ == data_.size(); }
 
  private:
+  friend class ArchiveReader<ByteReader>;
+  [[nodiscard]] std::pair<const std::uint8_t*, std::size_t> take_blob();
+  [[noreturn]] static void fail(const std::string& message);
   void require(std::size_t count) const;
+
   const Bytes& data_;
   std::size_t offset_ = 0;
 };

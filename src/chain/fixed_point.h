@@ -41,6 +41,12 @@ class Fixed {
 
   auto operator<=>(const Fixed&) const = default;
 
+  /// Persisted as its raw units (common/snapshot.h).
+  template <class Ar>
+  friend void fields(Ar& ar, Fixed& value) {
+    ar(value.raw_);
+  }
+
  private:
   explicit constexpr Fixed(std::int64_t raw) : raw_(raw) {}
   std::int64_t raw_ = 0;

@@ -240,39 +240,13 @@ std::vector<AbiValue> TradeFlContract::do_new_round(CallContext& context) {
 
 Bytes TradeFlContract::save_state() const {
   ByteWriter writer;
-  writer.put_u8(static_cast<std::uint8_t>(phase_));
-  writer.put_u8(payoffs_calculated_ ? 1 : 0);
-  writer.put_u64(round_);
-  writer.put_u32(static_cast<std::uint32_t>(orgs_.size()));
-  for (const OrgState& org : orgs_) {
-    writer.put_bytes(Bytes(org.account.bytes.begin(), org.account.bytes.end()));
-    writer.put_u8(org.registered ? 1 : 0);
-    writer.put_i64(org.deposit);
-    writer.put_u8(org.contributed ? 1 : 0);
-    writer.put_i64(org.d.raw());
-    writer.put_i64(org.f_ghz.raw());
-    writer.put_i64(org.net_payoff);
-  }
+  writer(*this);
   return writer.data();
 }
 
 void TradeFlContract::load_state(const Bytes& state) {
   ByteReader reader(state);
-  phase_ = static_cast<ContractPhase>(reader.get_u8());
-  payoffs_calculated_ = reader.get_u8() != 0;
-  round_ = reader.get_u64();
-  const std::uint32_t count = reader.get_u32();
-  if (count != orgs_.size()) throw std::invalid_argument("contract: state org count mismatch");
-  for (OrgState& org : orgs_) {
-    const Bytes account = reader.get_bytes();
-    std::copy(account.begin(), account.end(), org.account.bytes.begin());
-    org.registered = reader.get_u8() != 0;
-    org.deposit = reader.get_i64();
-    org.contributed = reader.get_u8() != 0;
-    org.d = Fixed::from_raw(reader.get_i64());
-    org.f_ghz = Fixed::from_raw(reader.get_i64());
-    org.net_payoff = reader.get_i64();
-  }
+  reader(*this);
 }
 
 }  // namespace tradefl::chain

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "chain/vm.h"
@@ -77,7 +78,26 @@ class TradeFlContract final : public Contract {
     Fixed d{};
     Fixed f_ghz{};
     Wei net_payoff = 0;  // Σ_j r_{i,j} in wei, set by payoffCalculate
+
+    template <class Ar>
+    friend void fields(Ar& ar, OrgState& org) {
+      ar(org.account, org.registered, org.deposit, org.contributed, org.d, org.f_ghz,
+         org.net_payoff);
+    }
   };
+
+  /// The save_state bytes. The org count travels as a u32 and must equal the
+  /// configured one on load; the org records are read in place.
+  template <class Ar>
+  friend void fields(Ar& ar, TradeFlContract& contract) {
+    auto count = static_cast<std::uint32_t>(contract.orgs_.size());
+    ar(as_enum<std::uint8_t>(contract.phase_, ContractPhase::kSettled),
+       contract.payoffs_calculated_, contract.round_, count);
+    if (count != contract.orgs_.size()) {
+      throw std::invalid_argument("contract: state org count mismatch");
+    }
+    for (OrgState& org : contract.orgs_) ar(org);
+  }
 
   [[nodiscard]] std::size_t org_index_of(const Address& account) const;
   [[nodiscard]] Fixed chi(std::size_t index) const;  // d_i s_i + λ f_i (GB units)

@@ -28,13 +28,7 @@ Bytes Transaction::serialize() const {
   // one prefixed data blob. Submit/seal/validate all hash through here, so
   // the buffer growth otherwise dominates the (hardware-accelerated) SHA.
   writer.reserve(2 * (4 + from.bytes.size()) + 4 * 8 + 4 + data.size());
-  writer.put_bytes(from.bytes.data(), from.bytes.size());
-  writer.put_bytes(to.bytes.data(), to.bytes.size());
-  writer.put_i64(value);
-  writer.put_u64(nonce);
-  writer.put_bytes(data);
-  writer.put_u64(gas_limit);
-  writer.put_i64(fee);
+  writer(*this);
   return writer.data();
 }
 

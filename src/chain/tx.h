@@ -29,6 +29,12 @@ struct Address {
   auto operator<=>(const Address&) const = default;
 };
 
+/// Persisted as a 20-byte length-prefixed blob (common/snapshot.h).
+template <class Ar>
+void fields(Ar& ar, Address& address) {
+  ar(fixed_bytes(address.bytes));
+}
+
 struct Transaction {
   Address from;
   Address to;            // zero address = contract deployment
@@ -41,9 +47,15 @@ struct Transaction {
   /// simulation's economics live in the contract, not in gas auctions.
   Wei fee = 0;
 
+  /// The fields() bytes: what hash() digests and the WAL persists.
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] Hash256 hash() const;
 };
+
+template <class Ar>
+void fields(Ar& ar, Transaction& tx) {
+  ar(tx.from, tx.to, tx.value, tx.nonce, tx.data, tx.gas_limit, tx.fee);
+}
 
 /// Execution outcome recorded on-chain next to the transaction.
 struct Receipt {
@@ -54,5 +66,11 @@ struct Receipt {
   Bytes return_data;
   std::uint64_t block_index = 0;
 };
+
+template <class Ar>
+void fields(Ar& ar, Receipt& receipt) {
+  ar(fixed_bytes(receipt.tx_hash), receipt.success, receipt.revert_reason, receipt.gas_used,
+     receipt.return_data, receipt.block_index);
+}
 
 }  // namespace tradefl::chain

@@ -71,6 +71,13 @@ struct Event {
   std::uint64_t block_index = 0;
 };
 
+/// The event's values travel as their ABI encoding (encode_values).
+template <class Ar>
+void fields(Ar& ar, Event& event) {
+  ar(event.contract, event.name, coded(event.fields, encode_values, decode_values),
+     event.block_index);
+}
+
 /// Host services a contract may use during a call. Implemented by the
 /// Blockchain; narrow by design (no arbitrary state access).
 class HostInterface {

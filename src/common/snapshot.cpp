@@ -1,7 +1,6 @@
 #include "common/snapshot.h"
 
 #include <array>
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 
@@ -43,9 +42,7 @@ std::uint32_t crc32(const std::vector<std::uint8_t>& data) {
   return crc32(data.data(), data.size());
 }
 
-// ----- SnapshotWriter -----
-
-void SnapshotWriter::put_u8(std::uint8_t value) { buffer_.push_back(value); }
+// ----- SnapshotWriter / SnapshotReader primitives -----
 
 void SnapshotWriter::put_u32(std::uint32_t value) {
   for (int shift = 0; shift < 32; shift += 8) {
@@ -59,47 +56,17 @@ void SnapshotWriter::put_u64(std::uint64_t value) {
   }
 }
 
-void SnapshotWriter::put_i64(std::int64_t value) {
-  put_u64(static_cast<std::uint64_t>(value));
+void SnapshotWriter::put_blob(const std::uint8_t* data, std::size_t size) {
+  put_u64(size);
+  buffer_.insert(buffer_.end(), data, data + size);
 }
 
-void SnapshotWriter::put_bool(bool value) { put_u8(value ? 1 : 0); }
-
-void SnapshotWriter::put_f32(float value) { put_u32(std::bit_cast<std::uint32_t>(value)); }
-
-void SnapshotWriter::put_f64(double value) { put_u64(std::bit_cast<std::uint64_t>(value)); }
-
-void SnapshotWriter::put_string(const std::string& value) {
-  put_u64(value.size());
-  buffer_.insert(buffer_.end(), value.begin(), value.end());
-}
-
-void SnapshotWriter::put_bytes(const std::vector<std::uint8_t>& value) {
-  put_u64(value.size());
-  buffer_.insert(buffer_.end(), value.begin(), value.end());
-}
-
-void SnapshotWriter::put_f32s(const std::vector<float>& values) {
-  put_u64(values.size());
-  for (float value : values) put_f32(value);
-}
-
-void SnapshotWriter::put_f64s(const std::vector<double>& values) {
-  put_u64(values.size());
-  for (double value : values) put_f64(value);
-}
-
-void SnapshotWriter::put_u64s(const std::vector<std::uint64_t>& values) {
-  put_u64(values.size());
-  for (std::uint64_t value : values) put_u64(value);
-}
-
-// ----- SnapshotReader -----
+void SnapshotReader::fail(const std::string& message) { throw SnapshotError(message); }
 
 void SnapshotReader::require(std::size_t bytes) const {
   if (size_ - offset_ < bytes) {
-    throw SnapshotError("payload overrun: need " + std::to_string(bytes) + " bytes, have " +
-                        std::to_string(size_ - offset_));
+    fail("payload overrun: need " + std::to_string(bytes) + " bytes, have " +
+         std::to_string(size_ - offset_));
   }
 }
 
@@ -126,71 +93,17 @@ std::uint64_t SnapshotReader::get_u64() {
   return value;
 }
 
-std::int64_t SnapshotReader::get_i64() { return static_cast<std::int64_t>(get_u64()); }
-
-bool SnapshotReader::get_bool() {
-  const std::uint8_t raw = get_u8();
-  if (raw > 1) throw SnapshotError("bool field holds " + std::to_string(raw));
-  return raw == 1;
-}
-
-float SnapshotReader::get_f32() { return std::bit_cast<float>(get_u32()); }
-
-double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-std::string SnapshotReader::get_string() {
+std::pair<const std::uint8_t*, std::size_t> SnapshotReader::take_blob() {
   const std::uint64_t length = get_u64();
-  if (length > kMaxFieldBytes) throw SnapshotError("string length prefix exceeds sanity cap");
+  if (length > kMaxFieldBytes) fail("length prefix exceeds sanity cap");
   require(static_cast<std::size_t>(length));
-  std::string value(reinterpret_cast<const char*>(data_ + offset_),
-                    static_cast<std::size_t>(length));
+  const std::uint8_t* start = data_ + offset_;
   offset_ += static_cast<std::size_t>(length);
-  return value;
-}
-
-std::vector<std::uint8_t> SnapshotReader::get_bytes() {
-  const std::uint64_t length = get_u64();
-  if (length > kMaxFieldBytes) throw SnapshotError("bytes length prefix exceeds sanity cap");
-  require(static_cast<std::size_t>(length));
-  std::vector<std::uint8_t> value(data_ + offset_, data_ + offset_ + length);
-  offset_ += static_cast<std::size_t>(length);
-  return value;
-}
-
-std::vector<float> SnapshotReader::get_f32s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 4) throw SnapshotError("f32 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 4);
-  std::vector<float> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_f32());
-  return values;
-}
-
-std::vector<double> SnapshotReader::get_f64s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 8) throw SnapshotError("f64 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 8);
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_f64());
-  return values;
-}
-
-std::vector<std::uint64_t> SnapshotReader::get_u64s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 8) throw SnapshotError("u64 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 8);
-  std::vector<std::uint64_t> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_u64());
-  return values;
+  return {start, static_cast<std::size_t>(length)};
 }
 
 void SnapshotReader::require_exhausted() const {
-  if (offset_ != size_) {
-    throw SnapshotError("trailing bytes after payload: " + std::to_string(size_ - offset_));
-  }
+  if (offset_ != size_) fail("trailing bytes after payload: " + std::to_string(size_ - offset_));
 }
 
 // ----- file I/O -----
@@ -198,10 +111,7 @@ void SnapshotReader::require_exhausted() const {
 Result<std::size_t> write_snapshot_file(const std::string& path, const std::string& kind,
                                         std::uint32_t version, const SnapshotWriter& payload) {
   SnapshotWriter framed;
-  framed.put_u32(kMagic);
-  framed.put_u32(version);
-  framed.put_string(kind);
-  framed.put_bytes(payload.payload());
+  framed(kMagic, version, kind, payload.payload());
   const std::vector<std::uint8_t>& body = framed.payload();
   const std::uint32_t checksum = crc32(body);
 
@@ -271,11 +181,12 @@ Result<std::vector<std::uint8_t>> read_snapshot_file(const std::string& path,
 
   SnapshotReader reader(raw.data(), body_size);
   try {
-    const std::uint32_t magic = reader.get_u32();
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    reader(magic, version);
     if (magic != kMagic) {
       return Error{"snapshot.magic", path + ": not a TradeFL snapshot (bad magic)"};
     }
-    const std::uint32_t version = reader.get_u32();
     if (computed_crc != stored_crc) {
       return Error{"snapshot.crc", path + ": CRC mismatch (file is corrupt)"};
     }
@@ -289,12 +200,14 @@ Result<std::vector<std::uint8_t>> read_snapshot_file(const std::string& path,
                                            " is older than supported " +
                                            std::to_string(min_version)};
     }
-    const std::string file_kind = reader.get_string();
+    std::string file_kind;
+    reader(file_kind);
     if (file_kind != kind) {
       return Error{"snapshot.kind",
                    path + ": holds a '" + file_kind + "' snapshot, expected '" + kind + "'"};
     }
-    std::vector<std::uint8_t> payload = reader.get_bytes();
+    std::vector<std::uint8_t> payload;
+    reader(payload);
     reader.require_exhausted();
     return payload;
   } catch (const SnapshotError& error) {

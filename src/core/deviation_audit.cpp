@@ -50,71 +50,6 @@ std::string DeviationAudit::summary() const {
   return text;
 }
 
-void put_silo_deviation(SnapshotWriter& writer, const SiloDeviation& silo) {
-  writer.put_u64(silo.silo);
-  writer.put_string(silo.attack);
-  writer.put_f64(silo.truthful_payoff);
-  writer.put_f64(silo.empirical_payoff);
-  writer.put_f64(silo.payoff_gain);
-  writer.put_f64(silo.influence);
-  writer.put_f64(silo.rejected_share);
-}
-
-SiloDeviation get_silo_deviation(SnapshotReader& reader) {
-  SiloDeviation silo;
-  silo.silo = reader.get_u64();
-  silo.attack = reader.get_string();
-  silo.truthful_payoff = reader.get_f64();
-  silo.empirical_payoff = reader.get_f64();
-  silo.payoff_gain = reader.get_f64();
-  silo.influence = reader.get_f64();
-  silo.rejected_share = reader.get_f64();
-  return silo;
-}
-
-void put_deviation_audit(SnapshotWriter& writer, const DeviationAudit& audit) {
-  writer.put_bool(audit.attacked);
-  writer.put_f64(audit.analytic_accuracy);
-  writer.put_f64(audit.measured_accuracy);
-  writer.put_f64(audit.accuracy_ratio);
-  writer.put_u64(audit.attacked_updates);
-  writer.put_u64(audit.rejected_updates);
-  writer.put_u64(audit.clipped_updates);
-  writer.put_f64(audit.attacker_influence);
-  writer.put_bool(audit.ir_empirical);
-  writer.put_f64(audit.min_honest_payoff);
-  writer.put_bool(audit.bb_empirical);
-  writer.put_f64(audit.redistribution_sum);
-  writer.put_bool(audit.ce_empirical);
-  writer.put_u64(audit.silos.size());
-  for (const SiloDeviation& silo : audit.silos) {
-    put_silo_deviation(writer, silo);
-  }
-}
-
-DeviationAudit get_deviation_audit(SnapshotReader& reader) {
-  DeviationAudit audit;
-  audit.attacked = reader.get_bool();
-  audit.analytic_accuracy = reader.get_f64();
-  audit.measured_accuracy = reader.get_f64();
-  audit.accuracy_ratio = reader.get_f64();
-  audit.attacked_updates = reader.get_u64();
-  audit.rejected_updates = reader.get_u64();
-  audit.clipped_updates = reader.get_u64();
-  audit.attacker_influence = reader.get_f64();
-  audit.ir_empirical = reader.get_bool();
-  audit.min_honest_payoff = reader.get_f64();
-  audit.bb_empirical = reader.get_bool();
-  audit.redistribution_sum = reader.get_f64();
-  audit.ce_empirical = reader.get_bool();
-  const std::uint64_t count = reader.get_u64();
-  audit.silos.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    audit.silos.push_back(get_silo_deviation(reader));
-  }
-  return audit;
-}
-
 DeviationAudit audit_deviation(const game::CoopetitionGame& game,
                                const MechanismResult& mechanism,
                                const PropertyReport& properties,

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/faults.h"
-#include "common/snapshot.h"
 #include "core/mechanism.h"
 #include "game/game.h"
 
@@ -94,12 +93,21 @@ struct DeviationAudit {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Snapshot codecs (session checkpoint embeds the audit; pairing covered by
-/// the tfl-analyze schema-drift rule).
-void put_silo_deviation(SnapshotWriter& writer, const SiloDeviation& silo);
-[[nodiscard]] SiloDeviation get_silo_deviation(SnapshotReader& reader);
-void put_deviation_audit(SnapshotWriter& writer, const DeviationAudit& audit);
-[[nodiscard]] DeviationAudit get_deviation_audit(SnapshotReader& reader);
+/// Persisted field lists (common/snapshot.h); the session checkpoint embeds
+/// the audit.
+template <class Ar>
+void fields(Ar& ar, SiloDeviation& silo) {
+  ar(silo.silo, silo.attack, silo.truthful_payoff, silo.empirical_payoff, silo.payoff_gain,
+     silo.influence, silo.rejected_share);
+}
+
+template <class Ar>
+void fields(Ar& ar, DeviationAudit& audit) {
+  ar(audit.attacked, audit.analytic_accuracy, audit.measured_accuracy, audit.accuracy_ratio,
+     audit.attacked_updates, audit.rejected_updates, audit.clipped_updates,
+     audit.attacker_influence, audit.ir_empirical, audit.min_honest_payoff, audit.bb_empirical,
+     audit.redistribution_sum, audit.ce_empirical, audit.silos);
+}
 
 /// Runs the audit over a finished training run. `properties` is the analytic
 /// property report from the same session (its CE verdict is inherited);

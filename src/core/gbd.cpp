@@ -12,7 +12,6 @@
 #include "common/snapshot.h"
 #include "common/stopwatch.h"
 #include "core/iteration_trace.h"
-#include "core/solution_codec.h"
 #include "game/potential.h"
 #include "math/grid.h"
 #include "math/scalar_opt.h"
@@ -319,7 +318,7 @@ Solution GbdSolver::solve() {
   std::uint64_t total_tuples = 0;
   int first_iteration = 1;
 
-  // ----- checkpoint codec (kept local: the cut types are private) -----
+  // ----- checkpoint -----
   // Version 2: cuts from the exact primal. A version-1 file holds cuts of the
   // former approximate primal and must not seed this solve.
   constexpr std::uint32_t kGbdSnapshotVersion = 2;
@@ -332,44 +331,23 @@ Solution GbdSolver::solve() {
     SnapshotWriter fingerprint;
     for (OrgId i = 0; i < n; ++i) {
       const game::Organization& org = game_.org(i);
-      fingerprint.put_f64(org.data_size_bits);
-      fingerprint.put_u64(org.sample_count);
-      fingerprint.put_f64(org.profitability);
-      fingerprint.put_f64(org.cycles_per_bit);
-      fingerprint.put_f64s(org.freq_levels);
-      fingerprint.put_f64(org.download_time);
-      fingerprint.put_f64(org.upload_time);
+      fingerprint(org.data_size_bits, org.sample_count, org.profitability, org.cycles_per_bit,
+                  org.freq_levels, org.download_time, org.upload_time);
     }
     level_fingerprint = crc32(fingerprint.payload());
   }
 
+  // The checkpoint is (n, fingerprint, completed iteration), then this state
+  // list, which both directions visit.
+  const auto state_fields = [&](auto& archive) {
+    archive(freq, lower_bound, upper_bound, incumbent, total_tuples, solution.trace,
+            optimality_cuts, feasibility_cuts, visited);
+  };
+
   const auto write_checkpoint = [&](int iteration_completed) {
     SnapshotWriter writer;
-    writer.put_u64(n);
-    writer.put_u64(level_fingerprint);
-    writer.put_i64(iteration_completed);
-    writer.put_u64s(std::vector<std::uint64_t>(freq.begin(), freq.end()));
-    writer.put_f64(lower_bound);
-    writer.put_f64(upper_bound);
-    put_profile(writer, incumbent);
-    writer.put_u64(total_tuples);
-    writer.put_u64(solution.trace.size());
-    for (const IterationRecord& record : solution.trace) put_iteration_record(writer, record);
-    writer.put_u64(optimality_cuts.size());
-    for (const OptimalityCut& cut : optimality_cuts) {
-      writer.put_f64(cut.base);
-      writer.put_u64(cut.per_level.size());
-      for (const std::vector<double>& levels : cut.per_level) writer.put_f64s(levels);
-    }
-    writer.put_u64(feasibility_cuts.size());
-    for (const FeasibilityCut& cut : feasibility_cuts) {
-      writer.put_u64(cut.org);
-      writer.put_f64s(cut.slack_by_level);
-    }
-    writer.put_u64(visited.size());
-    for (const std::vector<std::size_t>& tuple : visited) {
-      writer.put_u64s(std::vector<std::uint64_t>(tuple.begin(), tuple.end()));
-    }
+    writer(n, level_fingerprint, iteration_completed);
+    state_fields(writer);
     const auto written =
         write_snapshot_file(options_.checkpoint_path, kGbdSnapshotKind, kGbdSnapshotVersion,
                             writer);
@@ -390,40 +368,19 @@ Solution GbdSolver::solve() {
                                "]: " + payload.error().message);
     }
     auto decoded = decode_snapshot<bool>(payload.value(), [&](SnapshotReader& reader) {
-      if (reader.get_u64() != n || reader.get_u64() != level_fingerprint) {
+      std::size_t stored_n = 0;
+      std::uint64_t stored_fingerprint = 0;
+      reader(stored_n, stored_fingerprint);
+      if (stored_n != n || stored_fingerprint != level_fingerprint) {
         throw SnapshotError("checkpoint was written for a different game instance");
       }
-      first_iteration = static_cast<int>(reader.get_i64()) + 1;
-      const std::vector<std::uint64_t> raw_freq = reader.get_u64s();
-      freq.assign(raw_freq.begin(), raw_freq.end());
-      lower_bound = reader.get_f64();
-      upper_bound = reader.get_f64();
-      incumbent = get_profile(reader);
-      total_tuples = reader.get_u64();
-      const std::uint64_t trace_count = reader.get_u64();
-      for (std::uint64_t i = 0; i < trace_count; ++i) {
-        solution.trace.push_back(get_iteration_record(reader));
+      int completed = 0;
+      reader(completed);
+      if (completed < 0 || completed == std::numeric_limits<int>::max()) {
+        throw SnapshotError("checkpoint iteration " + std::to_string(completed) + " out of range");
       }
-      const std::uint64_t optimality_count = reader.get_u64();
-      for (std::uint64_t i = 0; i < optimality_count; ++i) {
-        OptimalityCut cut;
-        cut.base = reader.get_f64();
-        const std::uint64_t org_count = reader.get_u64();
-        for (std::uint64_t o = 0; o < org_count; ++o) cut.per_level.push_back(reader.get_f64s());
-        optimality_cuts.push_back(std::move(cut));
-      }
-      const std::uint64_t feasibility_count = reader.get_u64();
-      for (std::uint64_t i = 0; i < feasibility_count; ++i) {
-        FeasibilityCut cut;
-        cut.org = static_cast<std::size_t>(reader.get_u64());
-        cut.slack_by_level = reader.get_f64s();
-        feasibility_cuts.push_back(std::move(cut));
-      }
-      const std::uint64_t visited_count = reader.get_u64();
-      for (std::uint64_t i = 0; i < visited_count; ++i) {
-        const std::vector<std::uint64_t> raw_tuple = reader.get_u64s();
-        visited.insert(std::vector<std::size_t>(raw_tuple.begin(), raw_tuple.end()));
-      }
+      first_iteration = completed + 1;
+      state_fields(reader);
       return true;
     });
     if (!decoded.ok()) {

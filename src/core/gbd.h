@@ -93,10 +93,20 @@ class GbdSolver {
   struct OptimalityCut {
     double base = 0.0;                            // P(Ω(d_v))
     std::vector<std::vector<double>> per_level;   // [org][level] terms
+
+    template <class Ar>
+    friend void fields(Ar& ar, OptimalityCut& cut) {
+      ar(cut.base, cut.per_level);
+    }
   };
   struct FeasibilityCut {
     std::size_t org = 0;              // λ is the indicator of this row
     std::vector<double> slack_by_level;  // g_org(d_v, level)
+
+    template <class Ar>
+    friend void fields(Ar& ar, FeasibilityCut& cut) {
+      ar(cut.org, cut.slack_by_level);
+    }
   };
 
   [[nodiscard]] OptimalityCut make_optimality_cut(const PrimalSolve& primal) const;

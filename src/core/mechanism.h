@@ -5,9 +5,11 @@
 // individual rationality, budget balance, and computational efficiency.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "core/baselines.h"
 #include "core/cgbd.h"
 #include "core/dbr.h"
@@ -49,6 +51,15 @@ struct MechanismResult {
   std::vector<std::vector<double>> redistribution;
 };
 
+/// Persisted field lists (common/snapshot.h); the session checkpoint embeds
+/// them.
+template <class Ar>
+void fields(Ar& ar, MechanismResult& result) {
+  ar(as_enum<std::uint64_t>(result.scheme, Scheme::kTos), result.solution, result.welfare,
+     result.potential, result.paper_potential, result.total_damage, result.total_data_fraction,
+     result.performance, result.payoffs, result.redistribution);
+}
+
 /// Runs one scheme end to end.
 MechanismResult run_scheme(const game::CoopetitionGame& game, Scheme scheme,
                            const SchemeOptions& options = {});
@@ -66,6 +77,13 @@ struct PropertyReport {
 
   [[nodiscard]] std::string summary() const;
 };
+
+template <class Ar>
+void fields(Ar& ar, PropertyReport& report) {
+  ar(report.individual_rationality, report.min_payoff, report.budget_balance,
+     report.redistribution_sum, report.nash_equilibrium, report.max_unilateral_gain,
+     report.computationally_efficient, report.iterations);
+}
 
 struct PropertyTolerances {
   double payoff_tol = 1e-6;

@@ -20,6 +20,14 @@ struct IterationRecord {
   game::StrategyProfile profile;
 };
 
+/// Persisted field lists (common/snapshot.h); the CGBD and session
+/// checkpoints embed them.
+template <class Ar>
+void fields(Ar& ar, IterationRecord& record) {
+  ar(record.iteration, record.potential, record.paper_potential, record.welfare, record.payoffs,
+     record.profile);
+}
+
 /// Final solution of a scheme run.
 struct Solution {
   game::StrategyProfile profile;
@@ -38,5 +46,11 @@ struct Solution {
     return fallback;
   }
 };
+
+template <class Ar>
+void fields(Ar& ar, Solution& solution) {
+  ar(solution.profile, solution.trace, solution.converged, solution.iterations,
+     solution.solve_seconds, solution.diagnostics);
+}
 
 }  // namespace tradefl::core

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/snapshot.h"
-#include "fl/loss.h"
 #include "obs/obs.h"
 
 namespace tradefl::fl {
@@ -28,33 +27,6 @@ struct PendingUpdate {
     return client > other.client;
   }
 };
-
-/// One local training pass over the client's contributed subset.
-void train_once(Net& net, const Dataset& data, const std::vector<std::size_t>& subset,
-                const FedAsyncOptions& options, Rng& shuffle_rng) {
-  Sgd optimizer(options.sgd);
-  // Shuffled order and label buffers are reused across epochs/batches rather
-  // than rebuilt per batch (same churn fix as fedavg's train_local).
-  std::vector<std::size_t> shuffled = subset;
-  std::vector<std::size_t> labels;
-  for (std::size_t epoch = 0; epoch < options.local_epochs; ++epoch) {
-    shuffle_rng.shuffle(shuffled);
-    std::size_t batches = 0;
-    for (std::size_t start = 0; start < shuffled.size(); start += options.batch_size) {
-      if (options.max_batches_per_epoch > 0 && batches >= options.max_batches_per_epoch) break;
-      const std::size_t end = std::min(shuffled.size(), start + options.batch_size);
-      const std::size_t count = end - start;
-      net.zero_grad();
-      const Tensor logits =
-          net.forward(data.batch_span(shuffled.data() + start, count), /*training=*/true);
-      data.batch_labels_into(shuffled.data() + start, count, labels);
-      const LossResult loss = softmax_cross_entropy(logits, labels.data(), count);
-      net.backward(loss.grad);
-      optimizer.step(net.parameters());
-      ++batches;
-    }
-  }
-}
 
 // ----- checkpointing -----
 
@@ -78,38 +50,25 @@ struct FedAsyncCheckpoint {
   FedAsyncResult partial;
 };
 
+template <class Ar>
+void fields(Ar& ar, PendingUpdate& update) {
+  ar(update.ready_at, update.pulled_at, update.client);
+}
+
+template <class Ar>
+void fields(Ar& ar, FedAsyncCheckpoint& state) {
+  FedAsyncResult& partial = state.partial;
+  ar(state.client_count, state.weight_count, state.shuffle_seed, state.aggregator,
+     state.events_processed, state.global_weights, state.pulled, state.update_counts,
+     state.shuffle_rng, state.queue, partial.merges, partial.total_updates, partial.total_dropped,
+     partial.total_quarantined, partial.total_delayed, partial.total_attacked,
+     partial.total_clipped);
+}
+
 Result<std::size_t> write_fedasync_checkpoint(const std::string& path,
                                               const FedAsyncCheckpoint& state) {
   SnapshotWriter writer;
-  writer.put_u64(state.client_count);
-  writer.put_u64(state.weight_count);
-  writer.put_u64(state.shuffle_seed);
-  put_aggregator_spec(writer, state.aggregator);
-  writer.put_u64(state.events_processed);
-  writer.put_f32s(state.global_weights);
-  writer.put_u64(state.pulled.size());
-  for (const std::vector<float>& weights : state.pulled) writer.put_f32s(weights);
-  writer.put_u64s(state.update_counts);
-  for (std::uint64_t word : state.shuffle_rng) writer.put_u64(word);
-  writer.put_u64(state.queue.size());
-  for (const PendingUpdate& update : state.queue) {
-    writer.put_f64(update.ready_at);
-    writer.put_f64(update.pulled_at);
-    writer.put_u64(update.client);
-  }
-  writer.put_u64(state.partial.merges.size());
-  for (const AsyncMerge& merge : state.partial.merges) {
-    writer.put_f64(merge.time);
-    writer.put_u64(merge.client_index);
-    writer.put_f64(merge.staleness);
-    writer.put_f64(merge.test_accuracy);
-  }
-  writer.put_u64(state.partial.total_updates);
-  writer.put_u64(state.partial.total_dropped);
-  writer.put_u64(state.partial.total_quarantined);
-  writer.put_u64(state.partial.total_delayed);
-  writer.put_u64(state.partial.total_attacked);
-  writer.put_u64(state.partial.total_clipped);
+  writer(state);
   return write_snapshot_file(path, kFedAsyncSnapshotKind, kFedAsyncSnapshotVersion, writer);
 }
 
@@ -118,39 +77,7 @@ Result<FedAsyncCheckpoint> read_fedasync_checkpoint(const std::string& path) {
   if (!payload.ok()) return payload.error();
   return decode_snapshot<FedAsyncCheckpoint>(payload.value(), [](SnapshotReader& reader) {
     FedAsyncCheckpoint state;
-    state.client_count = reader.get_u64();
-    state.weight_count = reader.get_u64();
-    state.shuffle_seed = reader.get_u64();
-    state.aggregator = get_aggregator_spec(reader);
-    state.events_processed = reader.get_u64();
-    state.global_weights = reader.get_f32s();
-    const std::uint64_t pulled_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < pulled_count; ++i) state.pulled.push_back(reader.get_f32s());
-    state.update_counts = reader.get_u64s();
-    for (std::uint64_t& word : state.shuffle_rng) word = reader.get_u64();
-    const std::uint64_t queue_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < queue_count; ++i) {
-      PendingUpdate update;
-      update.ready_at = reader.get_f64();
-      update.pulled_at = reader.get_f64();
-      update.client = static_cast<std::size_t>(reader.get_u64());
-      state.queue.push_back(update);
-    }
-    const std::uint64_t merge_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < merge_count; ++i) {
-      AsyncMerge merge;
-      merge.time = reader.get_f64();
-      merge.client_index = static_cast<std::size_t>(reader.get_u64());
-      merge.staleness = reader.get_f64();
-      merge.test_accuracy = reader.get_f64();
-      state.partial.merges.push_back(merge);
-    }
-    state.partial.total_updates = static_cast<std::size_t>(reader.get_u64());
-    state.partial.total_dropped = static_cast<std::size_t>(reader.get_u64());
-    state.partial.total_quarantined = static_cast<std::size_t>(reader.get_u64());
-    state.partial.total_delayed = static_cast<std::size_t>(reader.get_u64());
-    state.partial.total_attacked = static_cast<std::size_t>(reader.get_u64());
-    state.partial.total_clipped = static_cast<std::size_t>(reader.get_u64());
+    reader(state);
     return state;
   });
 }
@@ -316,7 +243,8 @@ FedAsyncResult train_fedasync(const ModelSpec& model_spec,
     worker.set_weights(pulled[c]);
     {
       TFL_SCOPED_TIMER("fl.local_train.seconds");
-      train_once(worker, *clients[c].client.data, subsets[c], options, shuffle_rng);
+      train_local(worker, *clients[c].client.data, subsets[c], options.local_epochs,
+                  options.batch_size, options.max_batches_per_epoch, options.sgd, shuffle_rng);
     }
     std::vector<float> local = worker.weights();
 

@@ -61,6 +61,13 @@ struct AsyncMerge {
   double test_accuracy = -1.0;  // -1 when not evaluated at this merge
 };
 
+/// Persisted field list (common/snapshot.h); the FedAsync checkpoint carries
+/// the merge history.
+template <class Ar>
+void fields(Ar& ar, AsyncMerge& merge) {
+  ar(merge.time, merge.client_index, merge.staleness, merge.test_accuracy);
+}
+
 struct FedAsyncResult {
   std::vector<AsyncMerge> merges;
   double final_accuracy = 0.0;

@@ -46,15 +46,10 @@ EvalResult evaluate(Net& net, const Dataset& data, std::size_t batch_size) {
   return result;
 }
 
-namespace {
-
-/// Trains `net` (already loaded with the global weights) on the client's
-/// contributed subset; returns the mean batch loss observed. `shuffle_rng`
-/// is the client's private stream, so local schedules are independent of how
-/// clients interleave across threads.
 double train_local(Net& net, const Dataset& data, const std::vector<std::size_t>& contributed,
-                   const FedAvgOptions& options, Rng& shuffle_rng) {
-  Sgd optimizer(options.sgd);
+                   std::size_t epochs, std::size_t batch_size, std::size_t max_batches,
+                   const SgdOptions& sgd, Rng& shuffle_rng) {
+  Sgd optimizer(sgd);
   double loss_sum = 0.0;
   std::size_t batches = 0;
   // Epoch order and label buffers are reused across epochs/batches: the seed
@@ -62,16 +57,13 @@ double train_local(Net& net, const Dataset& data, const std::vector<std::size_t>
   // allocator profile of small-model rounds.
   std::vector<std::size_t> shuffled = contributed;
   std::vector<std::size_t> labels;
-  for (std::size_t epoch = 0; epoch < options.local_epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     shuffle_rng.shuffle(shuffled);
 
     std::size_t epoch_batches = 0;
-    for (std::size_t start = 0; start < shuffled.size(); start += options.batch_size) {
-      if (options.max_batches_per_epoch > 0 &&
-          epoch_batches >= options.max_batches_per_epoch) {
-        break;
-      }
-      const std::size_t end = std::min(shuffled.size(), start + options.batch_size);
+    for (std::size_t start = 0; start < shuffled.size(); start += batch_size) {
+      if (max_batches > 0 && epoch_batches >= max_batches) break;
+      const std::size_t end = std::min(shuffled.size(), start + batch_size);
       const std::size_t count = end - start;
       net.zero_grad();
       const Tensor logits =
@@ -88,86 +80,14 @@ double train_local(Net& net, const Dataset& data, const std::vector<std::size_t>
   return batches == 0 ? 0.0 : loss_sum / static_cast<double>(batches);
 }
 
+namespace {
+
 // ----- checkpointing -----
 
 // v2: aggregator spec joined the fingerprint; round metrics and result carry
 // the robust-aggregation fields (attacked/rejected/clipped/influence).
 constexpr std::uint32_t kFedAvgSnapshotVersion = 2;
 constexpr const char* kFedAvgSnapshotKind = "fl.fedavg";
-
-}  // namespace
-
-void put_round_metrics(SnapshotWriter& writer, const RoundMetrics& metrics) {
-  writer.put_u64(metrics.round);
-  writer.put_f64(metrics.train_loss);
-  writer.put_f64(metrics.test_loss);
-  writer.put_f64(metrics.test_accuracy);
-  writer.put_u64(metrics.participants);
-  writer.put_u64(metrics.dropped);
-  writer.put_u64(metrics.quarantined);
-  writer.put_bool(metrics.skipped);
-  writer.put_u64(metrics.attacked);
-  writer.put_u64(metrics.rejected);
-  writer.put_u64(metrics.clipped);
-  writer.put_f64(metrics.attacker_influence);
-}
-
-RoundMetrics get_round_metrics(SnapshotReader& reader) {
-  RoundMetrics metrics;
-  metrics.round = static_cast<std::size_t>(reader.get_u64());
-  metrics.train_loss = reader.get_f64();
-  metrics.test_loss = reader.get_f64();
-  metrics.test_accuracy = reader.get_f64();
-  metrics.participants = static_cast<std::size_t>(reader.get_u64());
-  metrics.dropped = static_cast<std::size_t>(reader.get_u64());
-  metrics.quarantined = static_cast<std::size_t>(reader.get_u64());
-  metrics.skipped = reader.get_bool();
-  metrics.attacked = static_cast<std::size_t>(reader.get_u64());
-  metrics.rejected = static_cast<std::size_t>(reader.get_u64());
-  metrics.clipped = static_cast<std::size_t>(reader.get_u64());
-  metrics.attacker_influence = reader.get_f64();
-  return metrics;
-}
-
-void put_fedavg_result(SnapshotWriter& writer, const FedAvgResult& result) {
-  writer.put_u64(result.history.size());
-  for (const RoundMetrics& metrics : result.history) put_round_metrics(writer, metrics);
-  writer.put_f64(result.final_accuracy);
-  writer.put_f64(result.final_loss);
-  writer.put_u64(result.total_contributed_samples);
-  writer.put_f32s(result.final_weights);
-  writer.put_u64(result.rounds_skipped);
-  writer.put_u64(result.total_dropped);
-  writer.put_u64(result.total_quarantined);
-  writer.put_u64(result.total_attacked);
-  writer.put_u64(result.total_rejected);
-  writer.put_u64(result.total_clipped);
-  writer.put_f64s(result.client_influence);
-  writer.put_u64s(result.client_rejected);
-}
-
-FedAvgResult get_fedavg_result(SnapshotReader& reader) {
-  FedAvgResult result;
-  const std::uint64_t history_count = reader.get_u64();
-  for (std::uint64_t i = 0; i < history_count; ++i) {
-    result.history.push_back(get_round_metrics(reader));
-  }
-  result.final_accuracy = reader.get_f64();
-  result.final_loss = reader.get_f64();
-  result.total_contributed_samples = static_cast<std::size_t>(reader.get_u64());
-  result.final_weights = reader.get_f32s();
-  result.rounds_skipped = static_cast<std::size_t>(reader.get_u64());
-  result.total_dropped = static_cast<std::size_t>(reader.get_u64());
-  result.total_quarantined = static_cast<std::size_t>(reader.get_u64());
-  result.total_attacked = static_cast<std::size_t>(reader.get_u64());
-  result.total_rejected = static_cast<std::size_t>(reader.get_u64());
-  result.total_clipped = static_cast<std::size_t>(reader.get_u64());
-  result.client_influence = reader.get_f64s();
-  result.client_rejected = reader.get_u64s();
-  return result;
-}
-
-namespace {
 
 /// The bits a resumed run must see exactly as the interrupted run left them.
 struct FedAvgCheckpoint {
@@ -195,30 +115,19 @@ struct FedAvgCheckpoint {
   std::vector<std::uint64_t> client_rejected;
 };
 
+template <class Ar>
+void fields(Ar& ar, FedAvgCheckpoint& state) {
+  ar(state.client_count, state.weight_count, state.shuffle_seed, state.contributed_samples,
+     state.aggregator, state.round_completed, state.global_weights, state.rng_states,
+     state.history, state.rounds_skipped, state.total_dropped, state.total_quarantined,
+     state.total_attacked, state.total_rejected, state.total_clipped, state.influence_sums,
+     state.client_rejected);
+}
+
 Result<std::size_t> write_fedavg_checkpoint(const std::string& path,
                                             const FedAvgCheckpoint& state) {
   SnapshotWriter writer;
-  writer.put_u64(state.client_count);
-  writer.put_u64(state.weight_count);
-  writer.put_u64(state.shuffle_seed);
-  writer.put_u64(state.contributed_samples);
-  put_aggregator_spec(writer, state.aggregator);
-  writer.put_u64(state.round_completed);
-  writer.put_f32s(state.global_weights);
-  writer.put_u64(state.rng_states.size());
-  for (const Rng::State& rng : state.rng_states) {
-    for (std::uint64_t word : rng) writer.put_u64(word);
-  }
-  writer.put_u64(state.history.size());
-  for (const RoundMetrics& metrics : state.history) put_round_metrics(writer, metrics);
-  writer.put_u64(state.rounds_skipped);
-  writer.put_u64(state.total_dropped);
-  writer.put_u64(state.total_quarantined);
-  writer.put_u64(state.total_attacked);
-  writer.put_u64(state.total_rejected);
-  writer.put_u64(state.total_clipped);
-  writer.put_f64s(state.influence_sums);
-  writer.put_u64s(state.client_rejected);
+  writer(state);
   return write_snapshot_file(path, kFedAvgSnapshotKind, kFedAvgSnapshotVersion, writer);
 }
 
@@ -227,31 +136,7 @@ Result<FedAvgCheckpoint> read_fedavg_checkpoint(const std::string& path) {
   if (!payload.ok()) return payload.error();
   return decode_snapshot<FedAvgCheckpoint>(payload.value(), [](SnapshotReader& reader) {
     FedAvgCheckpoint state;
-    state.client_count = reader.get_u64();
-    state.weight_count = reader.get_u64();
-    state.shuffle_seed = reader.get_u64();
-    state.contributed_samples = reader.get_u64();
-    state.aggregator = get_aggregator_spec(reader);
-    state.round_completed = reader.get_u64();
-    state.global_weights = reader.get_f32s();
-    const std::uint64_t rng_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < rng_count; ++i) {
-      Rng::State rng{};
-      for (std::uint64_t& word : rng) word = reader.get_u64();
-      state.rng_states.push_back(rng);
-    }
-    const std::uint64_t history_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < history_count; ++i) {
-      state.history.push_back(get_round_metrics(reader));
-    }
-    state.rounds_skipped = reader.get_u64();
-    state.total_dropped = reader.get_u64();
-    state.total_quarantined = reader.get_u64();
-    state.total_attacked = reader.get_u64();
-    state.total_rejected = reader.get_u64();
-    state.total_clipped = reader.get_u64();
-    state.influence_sums = reader.get_f64s();
-    state.client_rejected = reader.get_u64s();
+    reader(state);
     return state;
   });
 }
@@ -459,7 +344,9 @@ FedAvgResult train_fedavg(const ModelSpec& model_spec, const std::vector<FedClie
         if (subsets[c].empty() || excluded[c] != 0) return;
         Net& net = worker_nets[w];
         net.set_weights(global_weights);
-        local_losses[c] = train_local(net, *clients[c].data, subsets[c], options, client_rngs[c]);
+        local_losses[c] = train_local(net, *clients[c].data, subsets[c], options.local_epochs,
+                                      options.batch_size, options.max_batches_per_epoch,
+                                      options.sgd, client_rngs[c]);
         local_weights[c] = net.weights();
         // Attacks transform the honest update before any corruption stacks on
         // top: a Byzantine silo still trains (its RNG streams advance

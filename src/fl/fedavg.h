@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/faults.h"
-#include "common/snapshot.h"
 #include "fl/dataset.h"
 #include "fl/model_zoo.h"
 #include "fl/optimizer.h"
@@ -109,12 +108,22 @@ struct FedAvgResult {
   std::vector<std::uint64_t> client_rejected;
 };
 
-/// Snapshot codecs for the training result types, shared by the FedAvg
+/// Persisted field lists (common/snapshot.h), shared by the FedAvg
 /// checkpoint and the trading-session checkpoint (tradefl/session.cpp).
-void put_round_metrics(SnapshotWriter& writer, const RoundMetrics& metrics);
-[[nodiscard]] RoundMetrics get_round_metrics(SnapshotReader& reader);
-void put_fedavg_result(SnapshotWriter& writer, const FedAvgResult& result);
-[[nodiscard]] FedAvgResult get_fedavg_result(SnapshotReader& reader);
+template <class Ar>
+void fields(Ar& ar, RoundMetrics& metrics) {
+  ar(metrics.round, metrics.train_loss, metrics.test_loss, metrics.test_accuracy,
+     metrics.participants, metrics.dropped, metrics.quarantined, metrics.skipped,
+     metrics.attacked, metrics.rejected, metrics.clipped, metrics.attacker_influence);
+}
+
+template <class Ar>
+void fields(Ar& ar, FedAvgResult& result) {
+  ar(result.history, result.final_accuracy, result.final_loss, result.total_contributed_samples,
+     result.final_weights, result.rounds_skipped, result.total_dropped, result.total_quarantined,
+     result.total_attacked, result.total_rejected, result.total_clipped, result.client_influence,
+     result.client_rejected);
+}
 
 /// Evaluates mean loss / accuracy of `net` on a dataset.
 struct EvalResult {
@@ -122,6 +131,16 @@ struct EvalResult {
   double accuracy = 0.0;
 };
 EvalResult evaluate(Net& net, const Dataset& data, std::size_t batch_size = 64);
+
+/// One client's local training: `epochs` passes over the `contributed`
+/// samples of `data`, each in a fresh in-place shuffle drawn from
+/// `shuffle_rng` and capped at `max_batches` SGD steps (0 = no cap). `net`
+/// already holds the weights the client pulled. Returns the mean batch loss.
+/// FedAvg passes each client's private stream, so schedules do not depend on
+/// how clients interleave across threads; FedAsync passes its shared one.
+double train_local(Net& net, const Dataset& data, const std::vector<std::size_t>& contributed,
+                   std::size_t epochs, std::size_t batch_size, std::size_t max_batches,
+                   const SgdOptions& sgd, Rng& shuffle_rng);
 
 /// Runs FedAvg for the given model over the clients, testing on `test_set`
 /// each round. Clients contributing zero samples are skipped (they cannot

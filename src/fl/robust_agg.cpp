@@ -114,24 +114,6 @@ Result<AggregatorSpec> parse_aggregator(const std::string& text) {
   return agg_error("unknown aggregator '" + head + "'", text);
 }
 
-void put_aggregator_spec(SnapshotWriter& writer, const AggregatorSpec& spec) {
-  writer.put_u32(static_cast<std::uint32_t>(spec.kind));
-  writer.put_u64(spec.trim);
-  writer.put_f64(spec.clip_norm);
-}
-
-AggregatorSpec get_aggregator_spec(SnapshotReader& reader) {
-  AggregatorSpec spec;
-  const std::uint32_t kind = reader.get_u32();
-  if (kind > static_cast<std::uint32_t>(AggregatorKind::kNormClip)) {
-    throw SnapshotError("aggregator kind " + std::to_string(kind) + " out of range");
-  }
-  spec.kind = static_cast<AggregatorKind>(kind);
-  spec.trim = static_cast<std::size_t>(reader.get_u64());
-  spec.clip_norm = reader.get_f64();
-  return spec;
-}
-
 void ordered_weighted_mean(const std::vector<const std::vector<float>*>& values,
                            const std::vector<double>& weights, ThreadPool* pool,
                            std::vector<float>& out) {

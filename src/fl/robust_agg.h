@@ -68,10 +68,13 @@ struct AggregatorSpec {
 /// accepted grammar.
 Result<AggregatorSpec> parse_aggregator(const std::string& text);
 
-/// Snapshot codec for the spec — serialized into the FedAvg/FedAsync/session
-/// checkpoints so a resume under a different aggregator fails closed.
-void put_aggregator_spec(SnapshotWriter& writer, const AggregatorSpec& spec);
-[[nodiscard]] AggregatorSpec get_aggregator_spec(SnapshotReader& reader);
+/// Persisted field list (common/snapshot.h) — the spec is serialized into
+/// the FedAvg/FedAsync/session checkpoints so a resume under a different
+/// aggregator fails closed.
+template <class Ar>
+void fields(Ar& ar, AggregatorSpec& spec) {
+  ar(as_enum<std::uint32_t>(spec.kind, AggregatorKind::kNormClip), spec.trim, spec.clip_norm);
+}
 
 /// One survivor update entering aggregation. `weight` is the Eq. (3)
 /// aggregation mass d_i |S_i|; `client` is the original client index (kept so

@@ -19,6 +19,12 @@ struct Strategy {
   friend bool operator==(const Strategy&, const Strategy&) = default;
 };
 
+/// Persisted field list (common/snapshot.h).
+template <class Ar>
+void fields(Ar& ar, Strategy& strategy) {
+  ar(strategy.data_fraction, strategy.freq_index);
+}
+
 /// One strategy per organization (π in the paper).
 using StrategyProfile = std::vector<Strategy>;
 

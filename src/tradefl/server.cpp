@@ -61,6 +61,17 @@ struct Registry {
   std::vector<RegistryEntry> entries;
 };
 
+template <class Ar>
+void fields(Ar& ar, RegistryEntry& entry) {
+  ar(entry.id, as_enum<std::uint8_t>(entry.state, SessionState::kFailed), entry.config_text,
+     entry.attempts);
+}
+
+template <class Ar>
+void fields(Ar& ar, Registry& registry) {
+  ar(registry.next_session_id, registry.entries);
+}
+
 std::string serialize_config(const Config& config) {
   std::string text;
   for (const auto& [key, value] : config.entries()) {
@@ -74,14 +85,7 @@ std::string serialize_config(const Config& config) {
 
 Status save_registry(const std::string& path, const Registry& registry) {
   SnapshotWriter writer;
-  writer.put_u64(registry.next_session_id);
-  writer.put_u64(registry.entries.size());
-  for (const RegistryEntry& entry : registry.entries) {
-    writer.put_u64(entry.id);
-    writer.put_u8(static_cast<std::uint8_t>(entry.state));
-    writer.put_string(entry.config_text);
-    writer.put_u64(entry.attempts);
-  }
+  writer(registry);
   auto written = write_snapshot_file(path, kRegistryKind, kRegistryVersion, writer);
   if (!written.ok()) return written.error();
   return ok_status();
@@ -92,21 +96,7 @@ Result<Registry> load_registry(const std::string& path) {
   if (!payload.ok()) return payload.error();
   return decode_snapshot<Registry>(payload.value(), [](SnapshotReader& reader) {
     Registry registry;
-    registry.next_session_id = reader.get_u64();
-    const std::uint64_t count = reader.get_u64();
-    registry.entries.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      RegistryEntry entry;
-      entry.id = reader.get_u64();
-      const std::uint8_t state = reader.get_u8();
-      if (state > static_cast<std::uint8_t>(SessionState::kFailed)) {
-        throw SnapshotError("unknown session state " + std::to_string(state));
-      }
-      entry.state = static_cast<SessionState>(state);
-      entry.config_text = reader.get_string();
-      entry.attempts = reader.get_u64();
-      registry.entries.push_back(std::move(entry));
-    }
+    reader(registry);
     return registry;
   });
 }

@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "common/snapshot.h"
-#include "core/solution_codec.h"
 #include "obs/obs.h"
 
 namespace tradefl {
@@ -64,65 +63,26 @@ struct SessionCheckpoint {
   bool chain_ok = true;
 };
 
-void put_address(SnapshotWriter& writer, const Address& address) {
-  writer.put_bytes(std::vector<std::uint8_t>(address.bytes.begin(), address.bytes.end()));
-}
-
-Address get_address(SnapshotReader& reader) {
-  const std::vector<std::uint8_t> raw = reader.get_bytes();
-  Address address;
-  if (raw.size() != address.bytes.size()) {
-    throw SnapshotError("session: address must be 20 bytes");
+template <class Ar>
+void fields(Ar& ar, SessionCheckpoint& state) {
+  SessionResult& result = state.result;
+  ar(state.org_count, state.seed, state.scheme, state.run_training, state.aggregator,
+     state.completed_phase, result.mechanism, result.properties, result.training,
+     result.deviation, result.degradations, state.has_chain);
+  if (state.has_chain) {
+    ar(result.contract_address, state.chain_state, state.call_index, state.retry_sequence,
+       state.retry_attempts, state.chain_ok);
   }
-  std::copy(raw.begin(), raw.end(), address.bytes.begin());
-  return address;
+  // Cross-check fields (meaningful once completed_phase == 5; written
+  // unconditionally so the layout never forks on phase).
+  ar(result.settlements_wei, result.settlement_sum, result.max_settlement_gap, result.chain_valid,
+     result.total_gas, result.blocks, result.events, result.settled, result.retry_attempts);
 }
 
 Result<std::size_t> write_session_checkpoint(const std::string& path,
                                              const SessionCheckpoint& state) {
   SnapshotWriter writer;
-  writer.put_u64(state.org_count);
-  writer.put_u64(state.seed);
-  writer.put_u64(state.scheme);
-  writer.put_bool(state.run_training);
-  fl::put_aggregator_spec(writer, state.aggregator);
-  writer.put_u64(state.completed_phase);
-
-  const SessionResult& result = state.result;
-  core::put_mechanism_result(writer, result.mechanism);
-  core::put_property_report(writer, result.properties);
-  writer.put_bool(result.training.has_value());
-  if (result.training.has_value()) fl::put_fedavg_result(writer, *result.training);
-  writer.put_bool(result.deviation.has_value());
-  if (result.deviation.has_value()) core::put_deviation_audit(writer, *result.deviation);
-  writer.put_u64(result.degradations.size());
-  for (const Degradation& degradation : result.degradations) {
-    writer.put_string(degradation.phase);
-    writer.put_string(degradation.detail);
-  }
-
-  writer.put_bool(state.has_chain);
-  if (state.has_chain) {
-    put_address(writer, result.contract_address);
-    writer.put_bytes(state.chain_state);
-    writer.put_u64(state.call_index);
-    writer.put_u64(state.retry_sequence);
-    writer.put_u64(state.retry_attempts);
-    writer.put_bool(state.chain_ok);
-  }
-
-  // Cross-check fields (meaningful once completed_phase == 5; written
-  // unconditionally so the layout never forks on phase).
-  writer.put_u64(result.settlements_wei.size());
-  for (Wei wei : result.settlements_wei) writer.put_i64(wei);
-  writer.put_i64(result.settlement_sum);
-  writer.put_f64(result.max_settlement_gap);
-  writer.put_bool(result.chain_valid);
-  writer.put_u64(result.total_gas);
-  writer.put_u64(result.blocks);
-  writer.put_u64(result.events);
-  writer.put_bool(result.settled);
-  writer.put_u64(result.retry_attempts);
+  writer(state);
   return write_snapshot_file(path, kSessionSnapshotKind, kSessionSnapshotVersion, writer);
 }
 
@@ -131,48 +91,7 @@ Result<SessionCheckpoint> read_session_checkpoint(const std::string& path) {
   if (!payload.ok()) return payload.error();
   return decode_snapshot<SessionCheckpoint>(payload.value(), [](SnapshotReader& reader) {
     SessionCheckpoint state;
-    state.org_count = reader.get_u64();
-    state.seed = reader.get_u64();
-    state.scheme = reader.get_u64();
-    state.run_training = reader.get_bool();
-    state.aggregator = fl::get_aggregator_spec(reader);
-    state.completed_phase = reader.get_u64();
-
-    SessionResult& result = state.result;
-    result.mechanism = core::get_mechanism_result(reader);
-    result.properties = core::get_property_report(reader);
-    if (reader.get_bool()) result.training = fl::get_fedavg_result(reader);
-    if (reader.get_bool()) result.deviation = core::get_deviation_audit(reader);
-    const std::uint64_t degradation_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < degradation_count; ++i) {
-      Degradation degradation;
-      degradation.phase = reader.get_string();
-      degradation.detail = reader.get_string();
-      result.degradations.push_back(std::move(degradation));
-    }
-
-    state.has_chain = reader.get_bool();
-    if (state.has_chain) {
-      result.contract_address = get_address(reader);
-      state.chain_state = reader.get_bytes();
-      state.call_index = reader.get_u64();
-      state.retry_sequence = reader.get_u64();
-      state.retry_attempts = reader.get_u64();
-      state.chain_ok = reader.get_bool();
-    }
-
-    const std::uint64_t settlement_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < settlement_count; ++i) {
-      result.settlements_wei.push_back(reader.get_i64());
-    }
-    result.settlement_sum = reader.get_i64();
-    result.max_settlement_gap = reader.get_f64();
-    result.chain_valid = reader.get_bool();
-    result.total_gas = reader.get_u64();
-    result.blocks = static_cast<std::size_t>(reader.get_u64());
-    result.events = static_cast<std::size_t>(reader.get_u64());
-    result.settled = reader.get_bool();
-    result.retry_attempts = reader.get_u64();
+    reader(state);
     return state;
   });
 }

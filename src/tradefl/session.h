@@ -94,6 +94,13 @@ struct Degradation {
   std::string detail;
 };
 
+/// Persisted field list (common/snapshot.h); the session checkpoint carries
+/// the degradations absorbed so far.
+template <class Ar>
+void fields(Ar& ar, Degradation& degradation) {
+  ar(degradation.phase, degradation.detail);
+}
+
 struct SessionResult {
   core::MechanismResult mechanism;
   core::PropertyReport properties;

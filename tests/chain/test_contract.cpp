@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/blockchain.h"
 #include "chain/web3.h"
 
@@ -16,10 +18,10 @@ struct ContractFixture {
   std::vector<Address> orgs;
   Address contract;
   Wei min_deposit = 100'000'000'000;  // 100 payoff units (covers worst-case r)
+  TradeFlContractConfig config;
 
   explicit ContractFixture(std::size_t n = 3, double gamma_scaled = 5.12,
                            double rho = 0.05) {
-    TradeFlContractConfig config;
     config.org_count = n;
     config.gamma_scaled = Fixed::from_double(gamma_scaled);
     config.lambda = Fixed::from_double(2.0);
@@ -225,6 +227,31 @@ TEST(TradeFlContract, StateRoundTrip) {
   const auto outcome =
       fx.web3.call(fx.orgs[0], fx.contract, "payoffOf", {std::uint64_t{0}});
   EXPECT_FALSE(outcome.receipt.success);
+}
+
+TEST(TradeFlContract, RestoreRejectsAnOutOfRangePhase) {
+  ContractFixture fx;
+  fx.register_all();
+  const ContractFactory factory = [&fx](const std::string&) -> ContractPtr {
+    return std::make_unique<TradeFlContract>(fx.config);
+  };
+  Bytes saved = fx.chain.save_chain_state();
+  ASSERT_TRUE(Blockchain().restore_chain_state(saved, factory).ok());
+
+  // The ledger stores the contract as its name ("TradeFL", u32-prefixed)
+  // then its u32-prefixed state, whose first byte is the phase.
+  const Bytes name = {7, 0, 0, 0, 'T', 'r', 'a', 'd', 'e', 'F', 'L'};
+  const auto at = std::search(saved.begin(), saved.end(), name.begin(), name.end());
+  ASSERT_NE(at, saved.end());
+  const auto phase = static_cast<std::size_t>(at - saved.begin()) + name.size() + 4;
+  ASSERT_EQ(saved.at(phase), static_cast<std::uint8_t>(ContractPhase::kRegistration));
+  saved[phase] = 7;
+
+  Blockchain restored;
+  const Status status = restored.restore_chain_state(saved, factory);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, "chain.snapshot");
+  EXPECT_EQ(restored.block_count(), 1u);  // fail closed: still only genesis
 }
 
 TEST(TradeFlContract, ConstructorValidation) {

@@ -9,6 +9,7 @@
 
 #include "common/snapshot.h"
 #include "core/cgbd.h"
+#include "core/mechanism.h"
 #include "game/game_factory.h"
 
 namespace tradefl::core {
@@ -98,7 +99,7 @@ TEST(CgbdCheckpoint, VersionOneSnapshotFailsClosed) {
   const auto payload = read_snapshot_file(path, "core.gbd", 2);
   ASSERT_TRUE(payload.ok()) << payload.error().to_string();
   SnapshotWriter writer;
-  for (std::uint8_t byte : payload.value()) writer.put_u8(byte);
+  for (const std::uint8_t byte : payload.value()) writer(byte);
   ASSERT_TRUE(write_snapshot_file(path, "core.gbd", 1, writer).ok());
 
   CgbdOptions second;
@@ -120,6 +121,42 @@ TEST(CgbdCheckpoint, MissingSnapshotWithResumeIsColdStart) {
   std::filesystem::remove(options.checkpoint_path);  // TempDir persists across runs
   options.resume = true;
   expect_same_solution(run_cgbd(game), run_cgbd(game, options));
+}
+
+// ----- decoders fail closed on hostile payloads -----
+
+template <class T>
+Result<T> decode_as(const std::vector<std::uint8_t>& payload) {
+  return decode_snapshot<T>(payload, [](SnapshotReader& reader) {
+    T value{};
+    reader(value);
+    return value;
+  });
+}
+
+TEST(SnapshotDecode, HostileProfileCountFailsClosed) {
+  // A CRC-valid checkpoint can still claim 2^40 or 2^62 strategies; the
+  // decode must fail typed instead of reserving them.
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    SnapshotWriter writer;
+    writer(count, 0.5, std::uint64_t{1});
+    const auto decoded = decode_as<game::StrategyProfile>(writer.payload());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, "snapshot.decode");
+  }
+}
+
+TEST(SnapshotDecode, OutOfRangeSchemeFailsClosed) {
+  MechanismResult result;
+  result.scheme = Scheme::kTos;
+  SnapshotWriter writer;
+  writer(result);
+  ASSERT_TRUE(decode_as<MechanismResult>(writer.payload()).ok());
+  std::vector<std::uint8_t> payload = writer.payload();
+  payload[0] = 99;  // the scheme is the leading u64: no such Scheme
+  const auto decoded = decode_as<MechanismResult>(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "snapshot.decode");
 }
 
 }  // namespace

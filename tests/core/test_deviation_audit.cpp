@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "common/snapshot.h"
 #include "game/game_factory.h"
 
 namespace tradefl::core {
@@ -135,9 +137,10 @@ TEST(DeviationAudit, SnapshotCodecRoundTrips) {
       audit_deviation(fixture.game, fixture.mechanism, fixture.properties, training, faults);
 
   SnapshotWriter writer;
-  put_deviation_audit(writer, audit);
+  writer(audit);
   SnapshotReader reader(writer.payload());
-  const DeviationAudit decoded = get_deviation_audit(reader);
+  DeviationAudit decoded;
+  reader(decoded);
   reader.require_exhausted();
 
   EXPECT_EQ(decoded.attacked, audit.attacked);
@@ -164,6 +167,24 @@ TEST(DeviationAudit, SnapshotCodecRoundTrips) {
     EXPECT_EQ(decoded.silos[i].rejected_share, audit.silos[i].rejected_share);
   }
   EXPECT_EQ(decoded.summary(), audit.summary());
+}
+
+TEST(DeviationAudit, HostileSiloCountFailsClosed) {
+  // Every field of an empty audit, then a silo count no payload could hold:
+  // the decoder must fail typed, not reserve 2^40 or 2^62 records.
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    SnapshotWriter writer;
+    writer(false, 0.0, 0.0, 1.0, std::uint64_t{0}, std::uint64_t{0}, std::uint64_t{0}, 0.0,
+           false, 0.0, false, 0.0, false, count);
+    const Result<DeviationAudit> decoded =
+        decode_snapshot<DeviationAudit>(writer.payload(), [](SnapshotReader& reader) {
+          DeviationAudit audit;
+          reader(audit);
+          return audit;
+        });
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, "snapshot.decode");
+  }
 }
 
 TEST(DeviationAudit, MismatchedProfileFailsClosed) {

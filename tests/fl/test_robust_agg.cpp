@@ -81,17 +81,17 @@ TEST(RobustAggCodec, RoundTripsAndFailsClosedOnBadKind) {
   spec.trim = 3;
   spec.clip_norm = 0.25;
   SnapshotWriter writer;
-  put_aggregator_spec(writer, spec);
+  writer(spec);
   SnapshotReader reader(writer.payload());
-  EXPECT_EQ(get_aggregator_spec(reader), spec);
+  AggregatorSpec decoded;
+  reader(decoded);
+  EXPECT_EQ(decoded, spec);
   reader.require_exhausted();
 
   SnapshotWriter bad;
-  bad.put_u32(99);  // no such AggregatorKind
-  bad.put_u64(1);
-  bad.put_f64(1.0);
+  bad(std::uint32_t{99}, std::uint64_t{1}, 1.0);  // no such AggregatorKind
   SnapshotReader bad_reader(bad.payload());
-  EXPECT_THROW((void)get_aggregator_spec(bad_reader), SnapshotError);
+  EXPECT_THROW(bad_reader(decoded), SnapshotError);
 }
 
 // ---- rule semantics ----

@@ -19,6 +19,7 @@
 
 #include "common/config.h"
 #include "common/faults.h"
+#include "common/snapshot.h"
 #include "tradefl/cli.h"
 #include "tradefl/report.h"
 #include "tradefl/server.h"
@@ -436,6 +437,28 @@ TEST(Serve, CorruptRegistryFailsClosedInsteadOfForgettingSessions) {
       << "refusing to serve beats silently forgetting admitted sessions";
   EXPECT_EQ(run.summary.admitted, 0u);
   EXPECT_NE(run.raw.find("\"ok\": false"), std::string::npos) << run.raw;
+}
+
+TEST(Serve, HostileRegistryEntryCountFailsClosed) {
+  // A CRC-valid registry whose entry count no payload could hold: the load
+  // must fail typed (snapshot.decode) instead of reserving 2^40 or 2^62
+  // entries, and the daemon must refuse to serve.
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    const std::string root = temp_dir("serve_hostile_registry");
+    SnapshotWriter writer;
+    writer(std::uint64_t{1}, count);  // next_session_id, then the entry count
+    ASSERT_TRUE(
+        write_snapshot_file(root + "/registry.snap", "tradefl.server.registry", 1, writer).ok());
+    server::ServeOptions options;
+    options.root = root;
+    const ServeRun run = run_serve(options, {});
+    EXPECT_EQ(run.summary.exit_code, 1) << run.raw;
+    bool decode_error = false;
+    for (const wire::Message& reply : run.replies) {
+      decode_error |= reply.get_string("error") == std::optional<std::string>("snapshot.decode");
+    }
+    EXPECT_TRUE(decode_error) << run.raw;
+  }
 }
 
 TEST(Serve, ResumeOffIgnoresExistingRegistry) {

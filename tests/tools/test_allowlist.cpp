@@ -18,7 +18,7 @@ namespace tfl_tools {
 namespace {
 
 const std::set<std::string>& rules() {
-  static const std::set<std::string> kRules = {"raw-thread", "schema-drift"};
+  static const std::set<std::string> kRules = {"raw-thread", "parallel-capture"};
   return kRules;
 }
 
@@ -41,7 +41,7 @@ TEST(AllowParse, BlankAndCommentLinesAreSkipped) {
 TEST(AllowParse, TrailingWhitespaceAndCommentsStripped) {
   const AllowParse parsed = parse_allow_text(
       "raw-thread src/a.cpp   \t\n"
-      "schema-drift src/b.cpp  # the reason   \n",
+      "parallel-capture src/b.cpp  # the reason   \n",
       rules(), false);
   EXPECT_TRUE(parsed.errors.empty());
   ASSERT_EQ(parsed.entries.size(), 2u);
@@ -84,14 +84,14 @@ TEST(AllowParse, MissingPathSuffixWarnsAndDropsTheLine) {
 TEST(AllowParse, BaselinePolicyRequiresJustification) {
   const AllowParse parsed = parse_allow_text(
       "raw-thread src/a.cpp\n"
-      "schema-drift src/b.cpp  # reviewed: variant codec\n",
+      "parallel-capture src/b.cpp  # reviewed: disjoint slots\n",
       rules(), /*require_justification=*/true);
   ASSERT_EQ(parsed.errors.size(), 1u);
   EXPECT_NE(parsed.errors[0].find("justification"), std::string::npos);
   // The offending line is dropped; the justified one survives.
   ASSERT_EQ(parsed.entries.size(), 1u);
-  EXPECT_EQ(parsed.entries[0].rule, "schema-drift");
-  EXPECT_EQ(parsed.entries[0].justification, "reviewed: variant codec");
+  EXPECT_EQ(parsed.entries[0].rule, "parallel-capture");
+  EXPECT_EQ(parsed.entries[0].justification, "reviewed: disjoint slots");
 }
 
 TEST(AllowParse, JustificationMustBeNonEmptyText) {
@@ -106,7 +106,7 @@ TEST(Allowed, MatchesRuleAndPathSuffix) {
   entry.rule = "raw-thread";
   entry.path_suffix = "common/parallel.cpp";
   Finding hit{"src/common/parallel.cpp", 10, "raw-thread", "m"};
-  Finding wrong_rule{"src/common/parallel.cpp", 10, "schema-drift", "m"};
+  Finding wrong_rule{"src/common/parallel.cpp", 10, "parallel-capture", "m"};
   Finding wrong_path{"src/common/parallel.h", 10, "raw-thread", "m"};
   EXPECT_TRUE(allowed(hit, {entry}));
   EXPECT_FALSE(allowed(wrong_rule, {entry}));

@@ -14,7 +14,7 @@ namespace tfl_analyze {
 namespace {
 
 Analysis run(const std::vector<SourceFile>& files, const Options& options = {}) {
-  return analyze(files, options, nullptr);
+  return analyze(files, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -124,71 +124,6 @@ TEST(ParallelRule, FindingsAreSortedAndStable) {
   ASSERT_EQ(analysis.findings.size(), 2u);
   EXPECT_EQ(analysis.findings[0].path, "a/first.cpp");
   EXPECT_EQ(analysis.findings[1].path, "b/second.cpp");
-}
-
-// ---------------------------------------------------------------------------
-// schema pass: pair records
-// ---------------------------------------------------------------------------
-
-TEST(SchemaRule, CleanPairIsRecordedWithItsOps) {
-  const Analysis analysis = run({{"x/codec.cpp",
-                                  "void put_point(SnapshotWriter& writer, const Point& p) {\n"
-                                  "  writer.put_f64(p.x);\n"
-                                  "  writer.put_f64(p.y);\n"
-                                  "}\n"
-                                  "Point get_point(SnapshotReader& reader) {\n"
-                                  "  Point p;\n"
-                                  "  p.x = reader.get_f64();\n"
-                                  "  p.y = reader.get_f64();\n"
-                                  "  return p;\n"
-                                  "}\n"}});
-  EXPECT_TRUE(analysis.findings.empty());
-  ASSERT_EQ(analysis.pairs.size(), 1u);
-  const CodecPair& pair = analysis.pairs[0];
-  EXPECT_EQ(pair.writer_name, "put_point");
-  EXPECT_EQ(pair.reader_name, "get_point");
-  ASSERT_EQ(pair.writer_ops.size(), 2u);
-  ASSERT_EQ(pair.reader_ops.size(), 2u);
-  EXPECT_EQ(pair.writer_ops[0].type, "f64");
-  EXPECT_EQ(pair.writer_ops[0].line, 2u);
-}
-
-TEST(SchemaRule, DriftNamesBothSidesAndTheOp) {
-  const Analysis analysis = run({{"x/drift.cpp",
-                                  "void put_row(SnapshotWriter& writer, const Row& r) {\n"
-                                  "  writer.put_u32(r.id);\n"
-                                  "}\n"
-                                  "Row get_row(SnapshotReader& reader) {\n"
-                                  "  Row r;\n"
-                                  "  r.id = reader.get_u64();\n"
-                                  "  return r;\n"
-                                  "}\n"}});
-  ASSERT_EQ(analysis.findings.size(), 1u);
-  const auto& finding = analysis.findings[0];
-  EXPECT_EQ(finding.rule, "schema-drift");
-  EXPECT_NE(finding.message.find("put_row"), std::string::npos);
-  EXPECT_NE(finding.message.find("get_row"), std::string::npos);
-  EXPECT_NE(finding.message.find("u32"), std::string::npos);
-  EXPECT_NE(finding.message.find("u64"), std::string::npos);
-  // The pair is still recorded so coverage reports see it.
-  ASSERT_EQ(analysis.pairs.size(), 1u);
-}
-
-TEST(SchemaRule, LengthMismatchReportsCounts) {
-  const Analysis analysis = run({{"x/len.cpp",
-                                  "void put_cfg(SnapshotWriter& writer, const Cfg& c) {\n"
-                                  "  writer.put_u32(c.version);\n"
-                                  "  writer.put_bool(c.strict);\n"
-                                  "}\n"
-                                  "Cfg get_cfg(SnapshotReader& reader) {\n"
-                                  "  Cfg c;\n"
-                                  "  c.version = reader.get_u32();\n"
-                                  "  return c;\n"
-                                  "}\n"}});
-  ASSERT_EQ(analysis.findings.size(), 1u);
-  EXPECT_EQ(analysis.findings[0].rule, "schema-drift");
-  EXPECT_NE(analysis.findings[0].message.find("writer has 2"), std::string::npos);
-  EXPECT_NE(analysis.findings[0].message.find("reader has 1"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

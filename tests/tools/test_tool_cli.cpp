@@ -41,6 +41,19 @@ class ToolCli : public ::testing::Test {
     return path;
   }
 
+  /// A file tfl-analyze flags once (parallel-capture: a by-reference
+  /// accumulator written inside a parallel_for lambda).
+  void write_capture_race() {
+    write("race.cpp",
+          "void f(tradefl::ThreadPool* pool, std::vector<double>& weights) {\n"
+          "  double total = 0.0;\n"
+          "  parallel_for(pool, 0, weights.size(), 64,\n"
+          "               [&](std::size_t lo, std::size_t hi, std::size_t) {\n"
+          "    for (std::size_t i = lo; i < hi; ++i) total += weights[i];\n"
+          "  });\n"
+          "}\n");
+  }
+
   fs::path dir_;
 };
 
@@ -88,10 +101,7 @@ TEST_F(ToolCli, AnalyzeCleanTreeExitsZero) {
 }
 
 TEST_F(ToolCli, AnalyzeFindingExitsOneInEveryFormat) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
-        "}\n");
+  write_capture_race();
   for (const char* format : {"text", "json", "sarif"}) {
     EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --format " + format + " " + dir_.string()), 1)
         << format;
@@ -99,23 +109,17 @@ TEST_F(ToolCli, AnalyzeFindingExitsOneInEveryFormat) {
 }
 
 TEST_F(ToolCli, AnalyzeBaselineSuppressesToZero) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
-        "}\n");
+  write_capture_race();
   const fs::path baseline =
-      write("baseline.txt", "schema-unpaired audit.cpp  # write-only audit trail\n");
+      write("baseline.txt", "parallel-capture race.cpp  # reviewed: single-threaded pool\n");
   EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --baseline " + baseline.string() + " " +
                 dir_.string()),
             0);
 }
 
 TEST_F(ToolCli, AnalyzeBaselineWithoutJustificationExitsTwo) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
-        "}\n");
-  const fs::path baseline = write("baseline.txt", "schema-unpaired audit.cpp\n");
+  write_capture_race();
+  const fs::path baseline = write("baseline.txt", "parallel-capture race.cpp\n");
   EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --baseline " + baseline.string() + " " +
                 dir_.string()),
             2);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/parallel.h"
-
 namespace tfl_analyze {
 
 std::size_t match_forward(const std::vector<Token>& tokens, std::size_t open) {
@@ -211,35 +209,20 @@ const std::vector<tfl_tools::RuleInfo>& rule_catalog() {
        "*_rng stream factory"},
       {"unordered-hash-iter",
        "iteration over std::unordered_* whose body feeds hashing/serialization"},
-      {"schema-drift",
-       "paired snapshot writer/reader op sequences disagree (count/type/order)"},
-      {"schema-unpaired", "codec writer or reader with no counterpart to check against"},
       {"obs-vocab", "TFL_* metric/span name missing from the registered vocabulary"},
       {"obs-orphan", "vocabulary entry matching no TFL_* site in the scanned tree"},
   };
   return kRules;
 }
 
-Analysis analyze(const std::vector<SourceFile>& files, const Options& options,
-                 tradefl::ThreadPool* pool) {
-  std::vector<LexedFile> lexed(files.size());
-  std::vector<std::vector<tfl_tools::Finding>> per_file(files.size());
-  // Lexing and the per-file pass are embarrassingly parallel; results land in
-  // per-index slots, so the merge below is deterministic for any pool size.
-  tradefl::parallel_for(pool, 0, files.size(), 1,
-                        [&](std::size_t lo, std::size_t hi, std::size_t) {
-                          for (std::size_t i = lo; i < hi; ++i) {
-                            lexed[i].path = files[i].path;
-                            lexed[i].tokens = lex(files[i].content);
-                            check_parallel(lexed[i], per_file[i]);
-                          }
-                        });
-
+Analysis analyze(const std::vector<SourceFile>& files, const Options& options) {
   Analysis out;
-  for (std::vector<tfl_tools::Finding>& findings : per_file) {
-    out.findings.insert(out.findings.end(), findings.begin(), findings.end());
+  std::vector<LexedFile> lexed(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    lexed[i].path = files[i].path;
+    lexed[i].tokens = lex(files[i].content);
+    check_parallel(lexed[i], out.findings);
   }
-  check_schema(lexed, out);
   check_vocab(lexed, options, out.findings);
   std::sort(out.findings.begin(), out.findings.end(), tfl_tools::finding_before);
   return out;

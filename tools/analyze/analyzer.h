@@ -1,10 +1,9 @@
-// tfl-analyze core: shared token-walking helpers and the three semantic rule
+// tfl-analyze core: shared token-walking helpers and the two semantic rule
 // passes. See docs/STATIC_ANALYSIS.md for the rule catalog.
 //
 // The analyzer is a library (tfl_analyze_lib) so the test suite can run the
-// passes in-process against both embedded fixtures and the real src/ tree —
-// in particular the schema-drift mutation test, which rewrites one codec op
-// in a copied file set and asserts the pass notices.
+// passes in-process against embedded fixtures. It needs only the standard
+// library, so it still builds and scans a src/ tree that does not compile.
 #pragma once
 
 #include <cstddef>
@@ -13,10 +12,6 @@
 
 #include "analyze/lexer.h"
 #include "lint_common.h"
-
-namespace tradefl {
-class ThreadPool;
-}
 
 namespace tfl_analyze {
 
@@ -60,30 +55,6 @@ struct Locals {
 /// Scans [first, last) for local declarations.
 Locals collect_locals(const std::vector<Token>& tokens, std::size_t first, std::size_t last);
 
-// ---------------------------------------------------------------------------
-// Schema pass data model, exported so tests can assert codec-pair coverage
-// and drive the mutation check.
-// ---------------------------------------------------------------------------
-
-struct CodecOp {
-  std::string type;      // primitive: u8, u32, u64, i64, bool, f32, f64,
-                         // string, bytes, f32s, f64s, u64s
-  int depth = 0;         // enclosing loop depth at the call site (+ expansion)
-  std::string file;      // file of the primitive call (may be a helper's file)
-  std::size_t line = 0;  // line of the primitive call
-};
-
-struct CodecPair {
-  std::string writer_name;
-  std::string reader_name;
-  std::string writer_file;
-  std::string reader_file;
-  std::size_t writer_line = 0;
-  std::size_t reader_line = 0;
-  std::vector<CodecOp> writer_ops;  // fully expanded primitive sequence
-  std::vector<CodecOp> reader_ops;
-};
-
 struct Options {
   /// Vocabulary file contents split into lines; empty disables the obs rules.
   std::vector<std::string> vocab_lines;
@@ -93,29 +64,23 @@ struct Options {
 
 struct Analysis {
   std::vector<tfl_tools::Finding> findings;
-  std::vector<CodecPair> pairs;  // every compared writer/reader pair
 };
 
 // ---------------------------------------------------------------------------
-// Rule passes. check_parallel is per-file; check_schema and check_vocab are
-// cross-TU (they see every scanned file at once).
+// Rule passes. check_parallel is per-file; check_vocab is cross-TU (it sees
+// every scanned file at once).
 // ---------------------------------------------------------------------------
 
 /// parallel-capture, parallel-rng, unordered-hash-iter.
 void check_parallel(const LexedFile& file, std::vector<tfl_tools::Finding>& findings);
 
-/// schema-drift, schema-unpaired. Appends every compared pair to out.pairs.
-void check_schema(const std::vector<LexedFile>& files, Analysis& out);
-
 /// obs-vocab, obs-orphan. No-op when options.vocab_lines is empty.
 void check_vocab(const std::vector<LexedFile>& files, const Options& options,
                  std::vector<tfl_tools::Finding>& findings);
 
-/// Full analysis: lexes every file (in parallel when `pool` is non-null,
-/// deterministically either way) and runs all passes. Findings come back
+/// Full analysis: lexes every file and runs all passes. Findings come back
 /// sorted by (path, line, rule).
-Analysis analyze(const std::vector<SourceFile>& files, const Options& options,
-                 tradefl::ThreadPool* pool = nullptr);
+Analysis analyze(const std::vector<SourceFile>& files, const Options& options);
 
 /// The tfl-analyze rule catalog (shared by --list-rules and baseline
 /// validation).

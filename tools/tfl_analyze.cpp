@@ -1,7 +1,7 @@
-// tfl-analyze: semantic determinism & schema-drift analyzer for the TradeFL
-// tree. Where tfl-lint pattern-matches scrubbed lines, tfl-analyze lexes real
-// C++ (raw strings, splices, preprocessor awareness) and runs flow-aware
-// passes that need scopes, captures, and cross-file pairing:
+// tfl-analyze: semantic determinism analyzer for the TradeFL tree. Where
+// tfl-lint pattern-matches scrubbed lines, tfl-analyze lexes real C++ (raw
+// strings, splices, preprocessor awareness) and runs flow-aware passes that
+// need scopes, captures, and a cross-file view:
 //
 //   parallel-capture    writes to by-ref-captured non-local state inside
 //                       parallel_for/run_chunks/ordered_reduce-map lambdas
@@ -9,8 +9,6 @@
 //                       stream (Rng::derive_stream_seed or a *_rng factory)
 //   unordered-hash-iter iteration over std::unordered_* feeding hashing or
 //                       serialization
-//   schema-drift        paired snapshot writer/reader op sequences disagree
-//   schema-unpaired     codec writer/reader with no counterpart
 //   obs-vocab           TFL_* names missing from tools/obs_vocab.txt
 //   obs-orphan          vocabulary entries matching no site
 //
@@ -27,11 +25,9 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analyze/analyzer.h"
-#include "common/parallel.h"
 #include "lint_common.h"
 
 namespace {
@@ -214,7 +210,7 @@ const std::vector<Fixture>& fixtures() {
          "}\n"}},
        {},
        {},
-       {"unordered-hash-iter", "schema-drift", "schema-unpaired"}},
+       {"unordered-hash-iter"}},
       {"unordered-plain-accumulation-ok",
        {{"fix/unordered_neg2.cpp",
          "std::unordered_map<int, int> g_counts;\n"
@@ -226,139 +222,6 @@ const std::vector<Fixture>& fixtures() {
        {},
        {},
        {"unordered-hash-iter"}},
-      // ----- schema-drift ----------------------------------------------------
-      {"schema-type-mismatch-cross-file",
-       {{"fix/schema_writer.cpp",
-         "void put_profile(SnapshotWriter& writer, const Profile& profile) {\n"
-         "  writer.put_u64(profile.id);\n"
-         "  writer.put_f32(profile.score);\n"
-         "}\n"},
-        {"fix/schema_reader.cpp",
-         "Profile get_profile(SnapshotReader& reader) {\n"
-         "  Profile profile;\n"
-         "  profile.id = reader.get_u64();\n"
-         "  profile.score = reader.get_f64();\n"
-         "  return profile;\n"
-         "}\n"}},
-       {},
-       {"schema-drift"},
-       {}},
-      {"schema-missing-field-with-helpers",
-       {{"fix/schema_history.cpp",
-         "void put_item(SnapshotWriter& writer, const Item& item) {\n"
-         "  writer.put_u32(item.kind);\n"
-         "  writer.put_f64(item.value);\n"
-         "}\n"
-         "Item get_item(SnapshotReader& reader) {\n"
-         "  Item item;\n"
-         "  item.kind = reader.get_u32();\n"
-         "  item.value = reader.get_f64();\n"
-         "  return item;\n"
-         "}\n"
-         "void write_history(SnapshotWriter& writer, const History& history) {\n"
-         "  writer.put_u64(history.items.size());\n"
-         "  for (const Item& item : history.items) put_item(writer, item);\n"
-         "  writer.put_bool(history.sealed);\n"
-         "}\n"
-         "History read_history(SnapshotReader& reader) {\n"
-         "  History history;\n"
-         "  const std::uint64_t n = reader.get_u64();\n"
-         "  for (std::uint64_t i = 0; i < n; ++i) history.items.push_back(get_item(reader));\n"
-         "  return history;\n"
-         "}\n"}},
-       {},
-       {"schema-drift"},
-       {}},
-      {"schema-loop-depth-mismatch",
-       {{"fix/schema_depth.cpp",
-         "void write_grid(SnapshotWriter& writer, const Grid& grid) {\n"
-         "  writer.put_u64(grid.rows.size());\n"
-         "  for (const Row& row : grid.rows) {\n"
-         "    writer.put_u64(row.cells.size());\n"
-         "    for (double cell : row.cells) writer.put_f64(cell);\n"
-         "  }\n"
-         "}\n"
-         "Grid read_grid(SnapshotReader& reader) {\n"
-         "  Grid grid;\n"
-         "  const std::uint64_t rows = reader.get_u64();\n"
-         "  const std::uint64_t cells = reader.get_u64();\n"
-         "  for (std::uint64_t i = 0; i < rows * cells; ++i) grid.flat.push_back(reader.get_f64());\n"
-         "  return grid;\n"
-         "}\n"}},
-       {},
-       {"schema-drift"},
-       {}},
-      {"schema-conditional-block-ok",
-       {{"fix/schema_cond.cpp",
-         "void put_training(SnapshotWriter& writer, const Training& training) {\n"
-         "  writer.put_f64s(training.weights);\n"
-         "}\n"
-         "Training get_training(SnapshotReader& reader) {\n"
-         "  Training training;\n"
-         "  training.weights = reader.get_f64s();\n"
-         "  return training;\n"
-         "}\n"
-         "void write_session(SnapshotWriter& writer, const Session& session) {\n"
-         "  writer.put_u32(1);\n"
-         "  writer.put_bool(session.training.has_value());\n"
-         "  if (session.training.has_value()) put_training(writer, *session.training);\n"
-         "}\n"
-         "Session read_session(SnapshotReader& reader) {\n"
-         "  Session session;\n"
-         "  if (reader.get_u32() != 1) return session;\n"
-         "  if (reader.get_bool()) session.training = get_training(reader);\n"
-         "  return session;\n"
-         "}\n"}},
-       {},
-       {},
-       {"schema-drift", "schema-unpaired"}},
-      {"schema-anonymous-reader-lambda-ok",
-       {{"fix/schema_lambda.cpp",
-         "void write_solver_checkpoint(SnapshotWriter& writer, const Solver& solver) {\n"
-         "  writer.put_u64(solver.n);\n"
-         "  writer.put_f64(solver.bound);\n"
-         "}\n"
-         "bool resume(const Bytes& payload, Solver& solver) {\n"
-         "  return decode_snapshot<bool>(payload, [&](SnapshotReader& reader) {\n"
-         "    solver.n = reader.get_u64();\n"
-         "    solver.bound = reader.get_f64();\n"
-         "    return true;\n"
-         "  });\n"
-         "}\n"}},
-       {},
-       {},
-       {"schema-drift", "schema-unpaired"}},
-      // ----- schema-unpaired -------------------------------------------------
-      {"schema-writer-without-reader",
-       {{"fix/schema_unpaired_w.cpp",
-         "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-         "  writer.put_u64(audit.seq);\n"
-         "  writer.put_string(audit.actor);\n"
-         "}\n"}},
-       {},
-       {"schema-unpaired"},
-       {}},
-      {"schema-reader-without-writer",
-       {{"fix/schema_unpaired_r.cpp",
-         "Legacy get_legacy(SnapshotReader& reader) {\n"
-         "  Legacy legacy;\n"
-         "  legacy.version = reader.get_u32();\n"
-         "  return legacy;\n"
-         "}\n"}},
-       {},
-       {"schema-unpaired"},
-       {}},
-      {"schema-digest-only-exempt",
-       {{"fix/schema_digest.cpp",
-         "std::uint64_t config_fingerprint(const Config& config) {\n"
-         "  SnapshotWriter hasher;\n"
-         "  hasher.put_u64(config.n);\n"
-         "  hasher.put_f64(config.tolerance);\n"
-         "  return crc32(hasher.payload());\n"
-         "}\n"}},
-       {},
-       {},
-       {"schema-unpaired"}},
       // ----- obs-vocab / obs-orphan ------------------------------------------
       {"vocab-unknown-name",
        {{"fix/vocab_pos1.cpp",
@@ -441,7 +304,7 @@ int run_self_test() {
     Options options;
     options.vocab_lines = fixture.vocab;
     options.vocab_path = "fix/vocab.txt";
-    const Analysis analysis = tfl_analyze::analyze(fixture.files, options, nullptr);
+    const Analysis analysis = tfl_analyze::analyze(fixture.files, options);
     std::vector<std::string> got;
     for (const Finding& finding : analysis.findings) got.push_back(finding.rule);
     std::vector<std::string> want = fixture.expected;
@@ -643,11 +506,7 @@ int main(int argc, char** argv) {
     files.push_back({tfl_tools::normalize_path(path), std::move(content)});
   }
 
-  // Scan in parallel through the repo's own deterministic pool; results are
-  // merged in file order, so the output never depends on thread count.
-  const std::size_t threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  tradefl::ThreadPool pool(threads);
-  const Analysis analysis = tfl_analyze::analyze(files, options, &pool);
+  const Analysis analysis = tfl_analyze::analyze(files, options);
 
   std::vector<Finding> reported;
   std::size_t suppressed = 0;
