@@ -1,5 +1,6 @@
 // Kernel microbenchmarks — the naive seed loops vs the im2col+SGEMM backend
-// (fl/gemm.h), plus one end-to-end FedAvg round under each backend. The
+// (fl/gemm.h), plus one MLP training step and one end-to-end FedAvg round
+// under each backend. The
 // speedup table at the bottom is the acceptance evidence for ISSUE 3
 // (>= 3x Conv2D forward, >= 2x FedAvg round vs the serial seed kernels);
 // docs/PERFORMANCE.md records the measured numbers. threads=N sizes the
@@ -19,6 +20,7 @@
 #include "fl/fedavg.h"
 #include "fl/gemm.h"
 #include "fl/layers.h"
+#include "fl/loss.h"
 #include "obs/metrics.h"
 
 using namespace tradefl;
@@ -102,6 +104,44 @@ void bm_dense(benchmark::State& state, fl::KernelBackend backend, bool backward,
       benchmark::DoNotOptimize(out.data());
     }
     benchmark::ClobberMemory();
+  }
+  fl::set_kernel_backend(fl::KernelBackend::kGemm);
+}
+
+/// One SGD step of the MLP perfbench's train_mlp trains (12x12 -> 32 -> 10,
+/// batch 32), as fl::train_local runs it: zero_grad, gather, forward, loss,
+/// backward, step. Each call takes the next batch of a 1,024-sample shard, so
+/// the ReLU sees fresh signs every call, as it does in training.
+void bm_mlp_step(benchmark::State& state, fl::KernelBackend backend) {
+  constexpr std::size_t kBatch = 32;
+  const std::uint64_t seed = 42;
+  const auto spec = fl::DatasetSpec::builtin(fl::DatasetKind::kFmnistLike, seed);
+  const fl::Dataset data(spec.with_sample_seed(seed + 1), 1024);
+  fl::ModelSpec model;
+  model.kind = fl::ModelKind::kMlp;
+  model.channels = spec.channels;
+  model.height = spec.height;
+  model.width = spec.width;
+  model.classes = spec.classes;
+  model.seed = seed;
+  fl::Net net = fl::build_model(model);
+  fl::Sgd optimizer;
+  Rng rng(seed);
+  const std::vector<std::size_t> order = rng.permutation(data.size());
+  std::vector<std::size_t> labels;
+  std::size_t start = 0;
+  fl::set_kernel_backend(backend);
+  for (auto _ : state) {
+    if (start + kBatch > order.size()) start = 0;
+    const std::size_t* batch = order.data() + start;
+    net.zero_grad();
+    const fl::Tensor logits = net.forward(data.batch_span(batch, kBatch), /*training=*/true);
+    data.batch_labels_into(batch, kBatch, labels);
+    const fl::LossResult loss = fl::softmax_cross_entropy(logits, labels.data(), kBatch);
+    net.backward(loss.grad);
+    optimizer.step(net.parameters());
+    start += kBatch;
+    benchmark::DoNotOptimize(loss.mean_loss);
   }
   fl::set_kernel_backend(fl::KernelBackend::kGemm);
 }
@@ -222,6 +262,10 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("dense_mlp_bwd/gemm", bm_dense, fl::KernelBackend::kGemm, true,
                                144, 32, 32)
       ->Iterations(iters(800))->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("mlp_step/naive", bm_mlp_step, fl::KernelBackend::kNaive)
+      ->Iterations(iters(2000))->Unit(benchmark::kMicrosecond);
+  benchmark::RegisterBenchmark("mlp_step/gemm", bm_mlp_step, fl::KernelBackend::kGemm)
+      ->Iterations(iters(2000))->Unit(benchmark::kMicrosecond);
   benchmark::RegisterBenchmark("fedavg_round/naive", bm_fedavg_round,
                                fl::KernelBackend::kNaive, samples)
       ->Iterations(iters(4))->Unit(benchmark::kMillisecond);
@@ -237,7 +281,7 @@ int main(int argc, char** argv) {
   CsvWriter csv({"kernel", "naive_us", "gemm_us", "speedup"});
   for (const char* kernel :
        {"sgemm", "conv2d_fwd", "conv2d_bwd", "dense_fwd", "dense_bwd", "dense_mlp_fwd",
-        "dense_mlp_bwd", "fedavg_round"}) {
+        "dense_mlp_bwd", "mlp_step", "fedavg_round"}) {
     const double naive = reporter.seconds(std::string(kernel) + "/naive");
     const double with_gemm = reporter.seconds(std::string(kernel) + "/gemm");
     const double speedup = with_gemm > 0.0 ? naive / with_gemm : 0.0;

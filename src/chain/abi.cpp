@@ -90,7 +90,7 @@ Bytes encode_call(const CallPayload& payload) {
             "argument count overflows u32");
   writer.put_u32(static_cast<std::uint32_t>(payload.args.size()));
   for (const AbiValue& value : payload.args) encode_value(writer, value);
-  return writer.data();
+  return writer.release();
 }
 
 CallPayload decode_call(const Bytes& data) {
@@ -118,7 +118,7 @@ Bytes encode_values(const std::vector<AbiValue>& values) {
             "value count overflows u32");
   writer.put_u32(static_cast<std::uint32_t>(values.size()));
   for (const AbiValue& value : values) encode_value(writer, value);
-  return writer.data();
+  return writer.release();
 }
 
 std::vector<AbiValue> decode_values(const Bytes& data) {

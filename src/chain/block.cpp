@@ -7,7 +7,7 @@ namespace tradefl::chain {
 Bytes BlockHeader::serialize() const {
   ByteWriter writer;
   writer(*this);
-  return writer.data();
+  return writer.release();
 }
 
 Hash256 BlockHeader::hash() const { return sha256(serialize()); }

@@ -31,7 +31,7 @@ using BalanceJournal = MapUndoJournal<std::map<Address, Wei>>;
 Bytes serialize_block(const Block& block) {
   ByteWriter writer;
   writer(block);
-  return writer.data();
+  return writer.release();
 }
 
 Block decode_block(const Bytes& payload) {
@@ -464,7 +464,7 @@ Bytes Blockchain::save_chain_state() const {
                          chain.deploy_nonce_, chain.logical_clock_};
   ByteWriter writer;
   writer(kChainStateVersion, state);
-  return writer.data();
+  return writer.release();
 }
 
 Status Blockchain::restore_chain_state(const Bytes& bytes, const ContractFactory& factory) {

@@ -35,6 +35,8 @@ class ByteWriter : public ArchiveWriter<ByteWriter> {
   void reserve(std::size_t capacity) { buffer_.reserve(capacity); }
 
   [[nodiscard]] const Bytes& data() const { return buffer_; }
+  /// Moves the finished buffer out (no copy); the writer is left empty.
+  [[nodiscard]] Bytes release() { return std::move(buffer_); }
 
  private:
   friend class ArchiveWriter<ByteWriter>;

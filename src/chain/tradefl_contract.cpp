@@ -241,7 +241,7 @@ std::vector<AbiValue> TradeFlContract::do_new_round(CallContext& context) {
 Bytes TradeFlContract::save_state() const {
   ByteWriter writer;
   writer(*this);
-  return writer.data();
+  return writer.release();
 }
 
 void TradeFlContract::load_state(const Bytes& state) {

@@ -29,7 +29,7 @@ Bytes Transaction::serialize() const {
   // the buffer growth otherwise dominates the (hardware-accelerated) SHA.
   writer.reserve(2 * (4 + from.bytes.size()) + 4 * 8 + 4 + data.size());
   writer(*this);
-  return writer.data();
+  return writer.release();
 }
 
 Hash256 Transaction::hash() const { return sha256(serialize()); }

@@ -1,11 +1,11 @@
-// Cache-blocked single-precision GEMM + im2col, the compute backend behind
+// Register-tiled single-precision GEMM + im2col, the compute backend behind
 // Conv2D and Dense. Row-major throughout, no external BLAS.
 //
 // Determinism contract (what makes threads=1 == threads=N bit-identical):
 // every output element C(i, j) is accumulated by exactly one worker, in a
-// fixed ascending-k order that depends only on the operand shapes — k-tiling
-// walks tiles in ascending order and rows are parallelized, never the k
-// dimension. The naive seed kernels remain available behind
+// fixed ascending-k order that depends only on the operand shapes — a tile
+// of C stays in registers across the whole k loop and rows are parallelized,
+// never the k dimension. The naive seed kernels remain available behind
 // set_kernel_backend(kNaive) as the reference for equivalence tests and the
 // bench_kernels speedup baseline.
 #pragma once

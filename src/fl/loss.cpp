@@ -18,6 +18,10 @@ LossResult softmax_cross_entropy(const Tensor& logits, const std::size_t* labels
 
   LossResult result;
   result.grad = Tensor(logits.shape());
+  const float inv_batch = 1.0f / static_cast<float>(batch);
+  // exp(row[c] - max) once per logit: the loss sums them and the gradient
+  // divides them by the sum.
+  std::vector<double> exps(classes);
   double total_loss = 0.0;
   for (std::size_t n = 0; n < batch; ++n) {
     if (labels[n] >= classes) throw std::invalid_argument("loss: label out of range");
@@ -33,15 +37,15 @@ LossResult softmax_cross_entropy(const Tensor& logits, const std::size_t* labels
     if (argmax == labels[n]) ++result.correct;
     double denom = 0.0;
     for (std::size_t c = 0; c < classes; ++c) {
-      denom += std::exp(static_cast<double>(row[c] - max_logit));
+      exps[c] = std::exp(static_cast<double>(row[c] - max_logit));
+      denom += exps[c];
     }
     const double log_denom = std::log(denom);
     total_loss += -(static_cast<double>(row[labels[n]] - max_logit) - log_denom);
-    const float inv_batch = 1.0f / static_cast<float>(batch);
+    float* grad_row = result.grad.data() + n * classes;
     for (std::size_t c = 0; c < classes; ++c) {
-      const double p = std::exp(static_cast<double>(row[c] - max_logit)) / denom;
-      result.grad.at2(n, c) =
-          (static_cast<float>(p) - (c == labels[n] ? 1.0f : 0.0f)) * inv_batch;
+      const double p = exps[c] / denom;
+      grad_row[c] = (static_cast<float>(p) - (c == labels[n] ? 1.0f : 0.0f)) * inv_batch;
     }
   }
   result.mean_loss = total_loss / static_cast<double>(batch);

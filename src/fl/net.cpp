@@ -1,5 +1,6 @@
 #include "fl/net.h"
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,37 +12,36 @@ Net::Net(std::vector<LayerPtr> layers) {
 
 void Net::append(LayerPtr layer) {
   if (!layer) throw std::invalid_argument("net: null layer");
-  if (first_param_layer_ == layers_.size() && layer->parameters().empty()) {
-    ++first_param_layer_;
-  }
+  const std::vector<Param*> params = layer->parameters();
+  if (first_param_layer_ == layers_.size() && params.empty()) ++first_param_layer_;
+  params_.insert(params_.end(), params.begin(), params.end());
   layers_.push_back(std::move(layer));
 }
 
 Tensor Net::forward(const Tensor& input, bool training) {
-  Tensor activation = input;
-  for (auto& layer : layers_) activation = layer->forward(activation, training);
+  if (layers_.empty()) return input;
+  Tensor activation = layers_.front()->forward(input, training);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    activation = layers_[i]->forward(activation, training);
+  }
   return activation;
 }
 
 void Net::backward(const Tensor& grad_output) {
   if (first_param_layer_ == layers_.size()) return;
-  Tensor grad = grad_output;
+  const Tensor* grad = &grad_output;
+  Tensor propagated;
   for (std::size_t i = layers_.size(); --i > first_param_layer_;) {
-    grad = layers_[i]->backward(grad);
+    propagated = layers_[i]->backward(*grad);
+    grad = &propagated;
   }
-  layers_[first_param_layer_]->backward_params(grad);
-}
-
-std::vector<Param*> Net::parameters() {
-  std::vector<Param*> params;
-  for (auto& layer : layers_) {
-    for (Param* param : layer->parameters()) params.push_back(param);
-  }
-  return params;
+  layers_[first_param_layer_]->backward_params(*grad);
 }
 
 void Net::zero_grad() {
-  for (Param* param : parameters()) param->grad.fill(0.0f);
+  for (Param* param : params_) {
+    std::memset(param->grad.data(), 0, param->grad.size() * sizeof(float));
+  }
 }
 
 std::size_t Net::parameter_count() {

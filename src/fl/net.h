@@ -27,7 +27,9 @@ class Net {
   /// their input gradients.
   void backward(const Tensor& grad_output);
 
-  [[nodiscard]] std::vector<Param*> parameters();
+  /// Every layer's parameters, in layer order. Layers live on the heap, so
+  /// the list is collected once, as they are appended.
+  [[nodiscard]] const std::vector<Param*>& parameters() { return params_; }
   void zero_grad();
 
   /// Total number of scalar parameters.
@@ -45,6 +47,7 @@ class Net {
 
  private:
   std::vector<LayerPtr> layers_;
+  std::vector<Param*> params_;
   /// Index of the first layer with parameters; layers_.size() if none.
   std::size_t first_param_layer_ = 0;
 };

@@ -45,7 +45,7 @@ void reference_nn(std::size_t m, std::size_t n, std::size_t k, const std::vector
 }
 
 TEST(Gemm, NnMatchesReference) {
-  const std::size_t m = 17, n = 23, k = 71;  // spans multiple k-tiles (64)
+  const std::size_t m = 17, n = 23, k = 71;
   const auto a = random_values(m * k, 1);
   const auto b = random_values(k * n, 2);
   std::vector<float> expected(m * n), actual(m * n);
@@ -177,16 +177,30 @@ struct KernelCase {
   bool b_transposed;  // B stored (n, k) instead of (k, n)
 };
 
+/// random_values with about one entry in six an exact 0.0f or -0.0f, as a
+/// dead ReLU unit leaves them. A zero operand makes a zero product of either
+/// sign, so a tile seeded with its first product instead of C's +0.0f would
+/// return -0.0f where the scalar loop's 0.0f + (-0.0f) returns +0.0f.
+std::vector<float> values_with_zeros(std::size_t count, std::uint64_t seed) {
+  std::vector<float> out = random_values(count, seed);
+  Rng rng(seed + 1000);
+  for (float& v : out) {
+    const std::int64_t pick = rng.uniform_int(0, 11);
+    if (pick < 2) v = pick == 0 ? 0.0f : -0.0f;
+  }
+  return out;
+}
+
 /// Every shape, accumulate mode, row padding and pool size must reproduce
 /// the scalar loop's bits exactly, including the padding C never owns.
 void expect_matches_scalar_bits(const KernelCase& kc) {
   constexpr std::size_t kPad = 3;
-  const std::vector<std::size_t> ms{1, 5, 32};
-  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 144};
+  const std::vector<std::size_t> ms{1, 2, 3, 5, 32};
+  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 144};
   const std::vector<std::size_t> ks{1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 144};
   const std::size_t most = (144 + kPad) * 144;
-  const auto a_values = random_values(most, 51);
-  const auto b_values = random_values(most, 52);
+  const auto a_values = values_with_zeros(most, 51);
+  const auto b_values = values_with_zeros(most, 52);
   const auto c_values = random_values(most, 53);
   ThreadPool four(4);
   for (std::size_t m : ms) {

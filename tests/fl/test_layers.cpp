@@ -261,5 +261,41 @@ TEST(LayersContract, Conv2DBackwardRejectsWrongBatch) {
   expect_conv_backward_rejects({1, 4, 5, 5});  // the forward saw 2 samples
 }
 
+// Regression: ReLU, MaxPool2D and Dropout checked the gradient's shape only
+// with TFL_ASSERT, which optimized builds compile out, and Residual did not
+// check it at all. A gradient larger than the forward's output then made
+// backward read its cached input, argmax, mask or sum past their ends. Every
+// build now rejects it.
+void expect_backward_rejects(Layer& layer, const std::vector<std::size_t>& input_shape,
+                             const std::vector<std::size_t>& grad_shape) {
+  Rng rng(20);
+  (void)layer.forward(random_tensor(input_shape, rng), /*training=*/true);
+  EXPECT_THROW((void)layer.backward(random_tensor(grad_shape, rng)), std::invalid_argument)
+      << layer.name();
+}
+
+TEST(LayersContract, ReLUBackwardRejectsWrongShape) {
+  ReLU relu;
+  expect_backward_rejects(relu, {2, 6}, {3, 6});
+}
+
+TEST(LayersContract, MaxPool2DBackwardRejectsWrongShape) {
+  MaxPool2D pool;
+  expect_backward_rejects(pool, {1, 2, 4, 4}, {1, 2, 4, 4});  // the output is 2x2
+}
+
+TEST(LayersContract, DropoutBackwardRejectsWrongShape) {
+  Rng rng(21);
+  Dropout dropout(0.5, rng);
+  expect_backward_rejects(dropout, {2, 6}, {2, 9});
+}
+
+TEST(LayersContract, ResidualBackwardRejectsWrongShape) {
+  std::vector<LayerPtr> body;
+  body.push_back(std::make_unique<ReLU>());
+  Residual block(std::move(body));
+  expect_backward_rejects(block, {2, 6}, {4, 6});
+}
+
 }  // namespace
 }  // namespace tradefl::fl

@@ -23,10 +23,12 @@
 #   6. tracing-off build (TRADEFL_ENABLE_TRACING=OFF) proving the
 #      instrumentation macros compile away cleanly
 #   6b. release kernel stage: a Release (-O3) build of test_fl with
-#      warnings-as-errors, running the Gemm and Net suites and the dataset
-#      skip guard, because at -O3 GCC vectorizes scalar loops on its own; the
-#      bit-exact kernel oracle, the vectorization guard and the params-only
-#      Net backward must hold there too
+#      warnings-as-errors, running the Gemm and Net suites, the dataset skip
+#      guard, the lane-wise loop oracle and the layer contracts, because at -O3
+#      GCC vectorizes scalar loops (the oracles' references included) on its
+#      own and compiles TFL_ASSERT out; the bit-exact kernel and loop oracles,
+#      the vectorization guard, the params-only Net backward and the backward
+#      shape checks must hold there too
 #   7. ASan+UBSan build of the same suite, zero reports tolerated
 #   8. TSan build of the concurrency suites (ThreadPool/Parallel/Gemm/Metrics/
 #      Chaos); tfl-bench-diff stays outside the filter — it is single-threaded
@@ -204,7 +206,8 @@ echo "=== ci: release (-O3) kernel stage ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DTRADEFL_BUILD_TESTS=ON \
       -DTRADEFL_WARNINGS_AS_ERRORS=ON -DTRADEFL_BUILD_BENCH=OFF -DTRADEFL_BUILD_EXAMPLES=OFF
 cmake --build build-release -j "$jobs" --target test_fl
-ctest --test-dir build-release --output-on-failure -j "$jobs" -R 'Gemm|Net|DatasetSkip'
+ctest --test-dir build-release --output-on-failure -j "$jobs" \
+      -R 'Gemm|Net|DatasetSkip|LaneOracle|LayersContract'
 
 if [ "$run_sanitizers" -eq 1 ]; then
   echo "=== ci: sanitizer pass ==="
