@@ -1,6 +1,7 @@
 // Kernel microbenchmarks — the naive seed loops vs the im2col+SGEMM backend
 // (fl/gemm.h), plus one MLP training step and one end-to-end FedAvg round
-// under each backend. The
+// under each backend, and the five GEMM calls of an MLP step at four and at
+// eight lanes (the 8-lane rows only on hosts with AVX2). The
 // speedup table at the bottom is the acceptance evidence for ISSUE 3
 // (>= 3x Conv2D forward, >= 2x FedAvg round vs the serial seed kernels);
 // docs/PERFORMANCE.md records the measured numbers. threads=N sizes the
@@ -19,6 +20,7 @@
 #include "common/rng.h"
 #include "fl/fedavg.h"
 #include "fl/gemm.h"
+#include "fl/gemm_kernels.h"
 #include "fl/layers.h"
 #include "fl/loss.h"
 #include "obs/metrics.h"
@@ -178,6 +180,40 @@ void bm_fedavg_round(benchmark::State& state, fl::KernelBackend backend, std::si
   fl::set_kernel_backend(fl::KernelBackend::kGemm);
 }
 
+/// One of the five GEMM calls of an MLP step (train_mlp's 144 -> 32 -> 10,
+/// batch 32), serial, on the kernels of one vector width.
+struct MlpCall {
+  const char* name;  // row label; the shape is (m, n, k)
+  char kernel;       // 'n' = nn, 't' = nt, 'T' = tn
+  std::size_t m, n, k;
+};
+
+constexpr MlpCall kMlpCalls[] = {
+    {"nt(32,32,144)", 't', 32, 32, 144},  // first-layer forward
+    {"tn(32,144,32)", 'T', 32, 144, 32},  // first-layer dW
+    {"tn(10,32,32)", 'T', 10, 32, 32},    // second-layer dW
+    {"nt(32,10,32)", 't', 32, 10, 32},    // second-layer forward
+    {"nn(32,32,10)", 'n', 32, 32, 10},    // second-layer dX
+};
+
+void bm_mlp_gemm(benchmark::State& state, const fl::gemm::detail::KernelSet* set,
+                 MlpCall call) {
+  Rng rng(17);
+  std::vector<float> a(call.m * call.k), b(call.k * call.n), c(call.m * call.n);
+  fill_random(a.data(), a.size(), rng);
+  fill_random(b.data(), b.size(), rng);
+  const fl::gemm::detail::GemmFn kernel =
+      call.kernel == 'n' ? set->nn : call.kernel == 't' ? set->nt : set->tn;
+  const std::size_t lda = call.kernel == 'T' ? call.m : call.k;
+  const std::size_t ldb = call.kernel == 't' ? call.k : call.n;
+  for (auto _ : state) {
+    kernel(call.m, call.n, call.k, a.data(), lda, b.data(), ldb, /*accumulate=*/false, c.data(),
+           call.n, nullptr);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 /// Console reporter that also captures seconds/iteration per benchmark so the
 /// speedup table (and the manifest gauges) can be computed afterwards.
 class CaptureReporter final : public benchmark::ConsoleReporter {
@@ -273,6 +309,20 @@ int main(int argc, char** argv) {
                                samples)
       ->Iterations(iters(4))->Unit(benchmark::kMillisecond);
 
+  // The GEMM rung at each width, through the private per-width entry points.
+  const fl::gemm::detail::KernelSet* eight = fl::gemm::detail::eight_lanes();
+  for (const MlpCall& call : kMlpCalls) {
+    benchmark::RegisterBenchmark((std::string("mlp_gemm/") + call.name + "/4").c_str(),
+                                 bm_mlp_gemm, &fl::gemm::detail::four_lanes(), call)
+        ->Iterations(iters(6000))->Unit(benchmark::kMicrosecond);
+    if (eight != nullptr) {
+      benchmark::RegisterBenchmark((std::string("mlp_gemm/") + call.name + "/8").c_str(),
+                                   bm_mlp_gemm, eight, call)
+          ->Iterations(iters(6000))->Unit(benchmark::kMicrosecond);
+    }
+  }
+  if (eight == nullptr) std::printf("no AVX2 on this host: the 8-lane mlp_gemm rows are skipped\n");
+
   benchmark::Initialize(&argc, argv);
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -292,6 +342,20 @@ int main(int argc, char** argv) {
   }
   std::printf("threads=%zu\n", global_threads());
   bench::emit(config, "kernels", table, &csv);
+
+  AsciiTable lanes_table({"mlp gemm call", "4 lanes us", "8 lanes us", "4 / 8"});
+  CsvWriter lanes_csv({"call", "lanes4_us", "lanes8_us", "ratio"});
+  for (const MlpCall& call : kMlpCalls) {
+    const std::string row = std::string("mlp_gemm/") + call.name;
+    const double four_lanes = reporter.seconds(row + "/4");
+    const double eight_lanes = reporter.seconds(row + "/8");
+    const double ratio = eight_lanes > 0.0 ? four_lanes / eight_lanes : 0.0;
+    lanes_table.add_labeled_row(call.name, {four_lanes * 1e6, eight_lanes * 1e6, ratio}, 3);
+    lanes_csv.add_row({call.name, format_double(four_lanes * 1e6, 3),
+                       format_double(eight_lanes * 1e6, 3), format_double(ratio, 3)});
+  }
+  std::printf("gemm lanes=%zu\n", fl::gemm::detail::selected().lanes);
+  bench::emit(config, "kernels_lanes", lanes_table, &lanes_csv);
   if (!bench::write_manifest(config, "kernels").ok()) return 1;
   return 0;
 }

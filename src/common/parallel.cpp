@@ -150,27 +150,7 @@ std::size_t chunk_count(std::size_t total, std::size_t grain) {
   return (total + step - 1) / step;
 }
 
-void run_chunks(ThreadPool* pool, std::size_t count,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->run_chunks(count, fn);
-    return;
-  }
-  for (std::size_t chunk = 0; chunk < count; ++chunk) fn(chunk, t_worker_index);
-}
-
-void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (pool != nullptr) {
-    pool->parallel_for(begin, end, grain, body);
-    return;
-  }
-  if (end <= begin) return;
-  const std::size_t step = std::max<std::size_t>(1, grain);
-  for (std::size_t lo = begin; lo < end; lo += step) {
-    body(lo, std::min(end, lo + step), t_worker_index);
-  }
-}
+std::size_t current_worker_index() { return t_worker_index; }
 
 namespace {
 

@@ -17,6 +17,7 @@
 // macros; call sites (fl/core/tradefl/bench) own the instrumentation.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -81,12 +82,37 @@ class ThreadPool {
 /// Number of chunks parallel_for produces for a range of `total` indices.
 [[nodiscard]] std::size_t chunk_count(std::size_t total, std::size_t grain);
 
+/// Worker index of the calling thread: its index inside a pool worker, 0 on
+/// any other thread. The serial fallbacks below hand it to their bodies.
+[[nodiscard]] std::size_t current_worker_index();
+
 /// Serial fallbacks: every parallel entry point accepts a nullable pool so
-/// call sites read `run_chunks(global_pool(), ...)` without branching.
-void run_chunks(ThreadPool* pool, std::size_t count,
-                const std::function<void(std::size_t, std::size_t)>& fn);
+/// call sites read `run_chunks(global_pool(), ...)` without branching. They
+/// are templates so that with no pool the body runs as a direct call: only a
+/// pooled region wraps it in a std::function, which allocates once its
+/// captures outgrow the small-object buffer.
+template <typename Fn>
+void run_chunks(ThreadPool* pool, std::size_t count, const Fn& fn) {
+  if (pool != nullptr) {
+    pool->run_chunks(count, fn);
+    return;
+  }
+  const std::size_t worker = current_worker_index();
+  for (std::size_t chunk = 0; chunk < count; ++chunk) fn(chunk, worker);
+}
+
+template <typename Body>
 void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+                  const Body& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(begin, end, grain, body);
+    return;
+  }
+  if (end <= begin) return;
+  const std::size_t step = std::max<std::size_t>(1, grain);
+  const std::size_t worker = current_worker_index();
+  for (std::size_t lo = begin; lo < end; lo += step) body(lo, std::min(end, lo + step), worker);
+}
 
 /// Maps chunk -> T in parallel, then folds serially in chunk-index order:
 /// the reduction order (and hence every float rounding step) is identical

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/snapshot.h"
+#include "fl/gemm_kernels.h"
 #include "fl/loss.h"
 #include "obs/obs.h"
 
@@ -177,6 +178,7 @@ FedAvgResult train_fedavg(const ModelSpec& model_spec, const std::vector<FedClie
   ThreadPool* pool = global_pool();
   const std::size_t workers = pool == nullptr ? 1 : pool->size();
   TFL_GAUGE_SET("parallel.pool.size", workers);
+  TFL_GAUGE_SET("fl.gemm.lanes", gemm::detail::selected().lanes);
 
   // One scratch net per pool worker: run_chunks assigns client c to worker
   // c % workers, so each net is only ever touched by one thread at a time.

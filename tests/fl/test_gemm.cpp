@@ -1,9 +1,10 @@
 // The GEMM backend's contract: numerical agreement with the naive seed
 // kernels, bit-identity with the scalar loops the vectorized kernels replaced
-// and across pool sizes, im2col/col2im adjointness, Conv2D/Dense producing the
-// same results under either backend, Net::backward's skipped input gradient
-// leaving every parameter gradient unchanged, and a guard that the kernels
-// stay vectorized.
+// (at four and at eight lanes) and across pool sizes, the width the public
+// kernels run, im2col/col2im adjointness, Conv2D/Dense producing the same
+// results under either backend, Net::backward's skipped input gradient
+// leaving every parameter gradient unchanged, and guards that the kernels
+// stay vectorized and that eight lanes beat four.
 #include "fl/gemm.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "fl/gemm_kernels.h"
 #include "fl/layers.h"
 #include "fl/model_zoo.h"
 #include "fl/net.h"
@@ -175,7 +177,24 @@ struct KernelCase {
   ScalarFn oracle;
   bool a_transposed;  // A stored (k, m) instead of (m, k)
   bool b_transposed;  // B stored (n, k) instead of (k, n)
+  std::size_t lanes;  // the kernel set's width
 };
+
+using gemm::detail::KernelSet;
+
+KernelCase nn_case(const KernelSet& set) {
+  return {"sgemm_nn", set.nn, &scalar_nn, false, false, set.lanes};
+}
+
+KernelCase nt_case(const KernelSet& set) {
+  return {"sgemm_nt", set.nt, &scalar_nt, false, true, set.lanes};
+}
+
+KernelCase tn_case(const KernelSet& set) {
+  return {"sgemm_tn", set.tn, &scalar_tn, true, false, set.lanes};
+}
+
+constexpr const char* kNoAvx2 = "this host has no AVX2, so the 8-lane kernels cannot run";
 
 /// random_values with about one entry in six an exact 0.0f or -0.0f, as a
 /// dead ReLU unit leaves them. A zero operand makes a zero product of either
@@ -195,8 +214,9 @@ std::vector<float> values_with_zeros(std::size_t count, std::uint64_t seed) {
 /// the scalar loop's bits exactly, including the padding C never owns.
 void expect_matches_scalar_bits(const KernelCase& kc) {
   constexpr std::size_t kPad = 3;
-  const std::vector<std::size_t> ms{1, 2, 3, 5, 32};
-  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 144};
+  const std::vector<std::size_t> ms{1, 2, 3, 5, 32, 33};
+  const std::vector<std::size_t> ns{1,  2,  3,  4,  5,  6,  7,  8,  9,  15,
+                                    16, 17, 23, 24, 25, 31, 32, 33, 40, 144};
   const std::vector<std::size_t> ks{1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 144};
   const std::size_t most = (144 + kPad) * 144;
   const auto a_values = values_with_zeros(most, 51);
@@ -220,7 +240,8 @@ void expect_matches_scalar_bits(const KernelCase& kc) {
                         actual.data(), ldc, pool);
               if (std::memcmp(expected.data(), actual.data(), expected.size() * sizeof(float)) !=
                   0) {
-                ADD_FAILURE() << kc.name << " differs from the scalar loop at m=" << m
+                ADD_FAILURE() << kc.name << " at " << kc.lanes
+                              << " lanes differs from the scalar loop at m=" << m
                               << " n=" << n << " k=" << k << " accumulate=" << accumulate
                               << " pad=" << pad << " pool=" << (pool == nullptr ? 0 : 4);
                 return;
@@ -234,20 +255,50 @@ void expect_matches_scalar_bits(const KernelCase& kc) {
 }
 
 TEST(GemmOracle, NnBitIdenticalToScalarLoop) {
-  expect_matches_scalar_bits({"sgemm_nn", &gemm::sgemm_nn, &scalar_nn, false, false});
+  expect_matches_scalar_bits(nn_case(gemm::detail::four_lanes()));
 }
 
 TEST(GemmOracle, NtBitIdenticalToScalarLoop) {
-  expect_matches_scalar_bits({"sgemm_nt", &gemm::sgemm_nt, &scalar_nt, false, true});
+  expect_matches_scalar_bits(nt_case(gemm::detail::four_lanes()));
 }
 
 TEST(GemmOracle, TnBitIdenticalToScalarLoop) {
-  expect_matches_scalar_bits({"sgemm_tn", &gemm::sgemm_tn, &scalar_tn, true, false});
+  expect_matches_scalar_bits(tn_case(gemm::detail::four_lanes()));
+}
+
+TEST(GemmOracle, NnEightLanesBitIdenticalToScalarLoop) {
+  if (gemm::detail::eight_lanes() == nullptr) GTEST_SKIP() << kNoAvx2;
+  expect_matches_scalar_bits(nn_case(*gemm::detail::eight_lanes()));
+}
+
+TEST(GemmOracle, NtEightLanesBitIdenticalToScalarLoop) {
+  if (gemm::detail::eight_lanes() == nullptr) GTEST_SKIP() << kNoAvx2;
+  expect_matches_scalar_bits(nt_case(*gemm::detail::eight_lanes()));
+}
+
+TEST(GemmOracle, TnEightLanesBitIdenticalToScalarLoop) {
+  if (gemm::detail::eight_lanes() == nullptr) GTEST_SKIP() << kNoAvx2;
+  expect_matches_scalar_bits(tn_case(*gemm::detail::eight_lanes()));
+}
+
+// sgemm_* run the 8-lane kernels exactly where the CPU reports AVX2.
+TEST(GemmDispatch, EightLanesExactlyWhereTheCpuHasAvx2) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool avx2 = false;
+#endif
+  const KernelSet& selected = gemm::detail::selected();
+  EXPECT_EQ(gemm::detail::eight_lanes() != nullptr, avx2);
+  EXPECT_EQ(&selected, avx2 ? gemm::detail::eight_lanes() : &gemm::detail::four_lanes());
+  EXPECT_EQ(selected.lanes, avx2 ? 8u : 4u);
+  EXPECT_EQ(gemm::detail::four_lanes().lanes, 4u);
 }
 
 // ROADMAP 8(a)'s guard: the axpy kernels must run at least twice as fast as
 // the same loop with vectorization off. Both sides run in this process, so
-// the ratio does not depend on how fast the host is.
+// the ratio does not depend on how fast the host is. It times the 4-lane
+// kernels, which every host runs; GemmWidth holds the 8-lane ones above them.
 TEST(GemmVectorization, AxpyKernelsBeatScalarLoopTwofold) {
 #if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "times kernels: needs an optimized build without sanitizers";
@@ -260,8 +311,8 @@ TEST(GemmVectorization, AxpyKernelsBeatScalarLoopTwofold) {
   constexpr int kRuns = 30, kCallsPerRun = 8;
   const auto dy = random_values(kBatch * kOut, 61);
   const auto rhs = random_values(kOut * kIn, 62);
-  for (const KernelCase& kc : {KernelCase{"sgemm_nn", &gemm::sgemm_nn, &scalar_nn, false, false},
-                               KernelCase{"sgemm_tn", &gemm::sgemm_tn, &scalar_tn, true, false}}) {
+  for (const KernelCase& kc : {nn_case(gemm::detail::four_lanes()),
+                               tn_case(gemm::detail::four_lanes())}) {
     std::vector<float> vectorized(kBatch * kIn), scalar(kBatch * kIn);
     double best_kernel = std::numeric_limits<double>::infinity();
     double best_scalar = best_kernel;
@@ -283,6 +334,53 @@ TEST(GemmVectorization, AxpyKernelsBeatScalarLoopTwofold) {
         << kc.name << ": " << best_kernel * 1e6 / kCallsPerRun << " us/call vs scalar "
         << best_scalar * 1e6 / kCallsPerRun << " us/call";
   }
+#endif
+}
+
+// The 8-lane kernels must earn their dispatch. In one process, the five
+// calls of one step of train_mlp's MLP (144 -> 32 -> 10, batch 32), summed,
+// must run at least 1.25x faster at eight lanes than at four. Each side is
+// the minimum over interleaved runs, so the ratio does not depend on how
+// fast the host is.
+TEST(GemmWidth, EightLanesBeatFourOnMlpStep) {
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "times kernels: needs an optimized build without sanitizers";
+#else
+  if (gemm::detail::eight_lanes() == nullptr) GTEST_SKIP() << kNoAvx2;
+  constexpr std::size_t kBatch = 32, kIn = 144, kHidden = 32, kOut = 10;
+  constexpr int kRuns = 40, kStepsPerRun = 10;
+  const auto x = random_values(kBatch * kIn, 81);
+  const auto w1 = random_values(kHidden * kIn, 82);
+  const auto h = random_values(kBatch * kHidden, 83);
+  const auto w2 = random_values(kOut * kHidden, 84);
+  const auto dy = random_values(kBatch * kOut, 85);
+  std::vector<float> y1(kBatch * kHidden), y2(kBatch * kOut), dw1(kHidden * kIn),
+      dw2(kOut * kHidden), dh(kBatch * kHidden);
+  const auto step = [&](const KernelSet& set) {
+    set.nt(kBatch, kHidden, kIn, x.data(), kIn, w1.data(), kIn, false, y1.data(), kHidden,
+           nullptr);
+    set.nt(kBatch, kOut, kHidden, h.data(), kHidden, w2.data(), kHidden, false, y2.data(), kOut,
+           nullptr);
+    set.tn(kOut, kHidden, kBatch, dy.data(), kOut, h.data(), kHidden, false, dw2.data(), kHidden,
+           nullptr);
+    set.nn(kBatch, kHidden, kOut, dy.data(), kOut, w2.data(), kHidden, false, dh.data(), kHidden,
+           nullptr);
+    set.tn(kHidden, kIn, kBatch, dh.data(), kHidden, x.data(), kIn, false, dw1.data(), kIn,
+           nullptr);
+  };
+  double best[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+  const KernelSet* sets[2] = {&gemm::detail::four_lanes(), gemm::detail::eight_lanes()};
+  for (int run = 0; run < kRuns; ++run) {
+    for (int side = 0; side < 2; ++side) {
+      Stopwatch watch;
+      for (int s = 0; s < kStepsPerRun; ++s) step(*sets[side]);
+      best[side] = std::min(best[side], watch.elapsed_seconds());
+    }
+  }
+  EXPECT_GE(best[0] / best[1], 1.25)
+      << "4 lanes " << best[0] * 1e6 / kStepsPerRun << " us/step vs 8 lanes "
+      << best[1] * 1e6 / kStepsPerRun << " us/step";
 #endif
 }
 

@@ -2,7 +2,8 @@
 # One-shot CI gate: exactly what a PR must pass. CI and the local tier-1
 # verify share this entry point so they can never drift apart.
 #
-#   1. configure + build with warnings-as-errors
+#   1. configure + build with warnings-as-errors; a `warning:` line anywhere
+#      in the build log (tests, benches and examples included) fails it too
 #   2. ctest (unit/integration suites plus the tfl-lint tree scan & self-test)
 #   3. tfl-analyze semantic gate as its own named stage: self-test proving
 #      every rule still detects its fixtures, then the full-tree scan with
@@ -59,7 +60,19 @@ echo "=== ci: configure (warnings-as-errors) ==="
 cmake -B build -S . -DTRADEFL_WARNINGS_AS_ERRORS=ON
 
 echo "=== ci: build ==="
-cmake --build build -j "$jobs"
+# -Werror (tradefl_warnings) reaches the library and tool targets only, not
+# the tests, benches or examples, so the build log is the gate: any
+# `warning:` line in it fails the stage. The log holds what this build
+# compiles, which in a fresh checkout is every file.
+build_log=$(mktemp)
+cmake --build build -j "$jobs" 2>&1 | tee "$build_log"
+if grep -q 'warning:' "$build_log"; then
+  echo "ci_check: the build emitted warnings:" >&2
+  grep 'warning:' "$build_log" >&2
+  rm -f "$build_log"
+  exit 1
+fi
+rm -f "$build_log"
 
 echo "=== ci: ctest ==="
 ctest --test-dir build --output-on-failure -j "$jobs"
